@@ -241,6 +241,13 @@ def _cmd_bridge(run: _Run):
     return 0
 
 
+def _write_moment_diagnostics(run: _Run, rows):
+    columns = ["eps", "residual", "objective", "bl_drift",
+               "convexity_defect", "pushforward_error"]
+    write_csv(run.path("moment_diagnostics.csv"), columns,
+              [[row[c] for c in columns] for row in rows])
+
+
 def _cmd_moment(run: _Run):
     p1, in1 = _resolve_density(run.need("p1"), run.grid, run.config_dir)
     run.inputs += in1
@@ -249,10 +256,14 @@ def _cmd_moment(run: _Run):
         schedule = [float(v) for v in run.cfg["schedule"].split(",")]
     else:
         schedule = [2.0 ** (-k) for k in range(8)]
-    result = zero_noise_continuation(
-        p1, r, eps_schedule=schedule, tol=run.get_float("tol", 1e-9),
-        damping=run.get_float("damping", 0.5),
-        max_outer=run.get_int("max_outer", 200))
+    try:
+        result = zero_noise_continuation(
+            p1, r, eps_schedule=schedule, tol=run.get_float("tol", 1e-9),
+            damping=run.get_float("damping", 0.5),
+            max_outer=run.get_int("max_outer", 200))
+    except NonConvergenceError as exc:
+        _write_moment_diagnostics(run, exc.partial["diagnostics"])
+        raise
     write_json(run.path("moment.json"), {
         "p0": result.p0.values,
         "u_bar": result.u_bar,
@@ -262,12 +273,7 @@ def _cmd_moment(run: _Run):
         "w2_check": result.w2_check,
         "recenter_shift": result.recenter_shift,
     })
-    write_csv(run.path("moment_diagnostics.csv"),
-              ["eps", "residual", "objective", "bl_drift",
-               "convexity_defect", "pushforward_error"],
-              [(row["eps"], row["residual"], row["objective"], row["bl_drift"],
-                row["convexity_defect"], row["pushforward_error"])
-               for row in result.diagnostics])
+    _write_moment_diagnostics(run, result.diagnostics)
     return 0
 
 

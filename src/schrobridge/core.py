@@ -14,6 +14,7 @@ Conventions
 """
 from __future__ import annotations
 
+import functools
 import math
 import warnings
 from dataclasses import dataclass
@@ -86,6 +87,8 @@ class Support:
             raise ValueError("support needs at least one point")
         if vols.shape[0] != pts.shape[0]:
             raise ValueError("cell_volumes length does not match points")
+        if not (np.all(np.isfinite(pts)) and np.all(np.isfinite(vols))):
+            raise ValueError("support points and cell volumes must be finite")
         if not np.all(vols > 0):
             raise ValueError("all cell volumes must be positive")
         if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
@@ -134,8 +137,8 @@ class DiscreteMeasure:
         w = np.asarray(self.weights, dtype=float).ravel()
         if w.shape[0] != self.support.n_points:
             raise ValueError("weights length does not match support")
-        if np.any(w < 0):
-            raise ValueError("weights must be nonnegative")
+        if not np.all(np.isfinite(w) & (w >= 0)):
+            raise ValueError("weights must be finite and nonnegative")
         if self.is_probability and abs(w.sum() - 1.0) > 1e-12:
             raise ValueError("probability measure must have unit mass within 1e-12")
         object.__setattr__(self, "weights", _readonly(w))
@@ -164,8 +167,8 @@ class Density:
         v = np.asarray(self.values, dtype=float).ravel()
         if v.shape[0] != self.support.n_points:
             raise ValueError("values length does not match support")
-        if np.any(v < 0):
-            raise ValueError("density values must be nonnegative")
+        if not np.all(np.isfinite(v) & (v >= 0)):
+            raise ValueError("density values must be finite and nonnegative")
         if self.is_probability:
             mass = float(v @ self.support.cell_volumes)
             if abs(mass - 1.0) > 1e-10:
@@ -187,7 +190,11 @@ class Density:
 
 @dataclass(frozen=True)
 class KernelSpec:
-    """Strictly positive kernel over a (source, target) support pair."""
+    """Strictly positive kernel over a (source, target) support pair.
+
+    Every kernel exposes ``logk``, its log entries log q(x_i, y_j): the one
+    representation solvers and checks read, computed once and read-only.
+    """
 
     source: Support
     target: Support
@@ -206,10 +213,18 @@ class GaussianHeatKernel(KernelSpec):
         if self.source.dim != self.target.dim:
             raise ValueError("source and target dimensions differ")
 
+    @functools.cached_property
+    def logk(self):
+        return _readonly(log_heat(self.source.points, self.target.points, self.eps, self.t))
+
 
 @dataclass(frozen=True)
 class DenseKernel(KernelSpec):
-    """Explicit strictly positive matrix indexed by source x target points."""
+    """Explicit strictly positive matrix indexed by source x target points.
+
+    Built from ``values`` or, by ``from_log``, from log entries (then
+    ``values = exp(logk)`` may underflow to 0); valid when ``logk`` is finite.
+    """
 
     values: np.ndarray = None
 
@@ -217,9 +232,22 @@ class DenseKernel(KernelSpec):
         v = np.atleast_2d(np.asarray(self.values, dtype=float))
         if v.shape != (self.source.n_points, self.target.n_points):
             raise ValueError("kernel matrix shape does not match supports")
-        if not np.all(v > 0):
-            raise ValueError("kernel values must be strictly positive")
         object.__setattr__(self, "values", _readonly(v))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            if not np.all(np.isfinite(self.logk)):
+                raise ValueError("kernel values must be strictly positive and finite")
+
+    @functools.cached_property
+    def logk(self):
+        return _readonly(np.log(self.values))
+
+    @classmethod
+    def from_log(cls, source: Support, target: Support, logk) -> "DenseKernel":
+        """Kernel with log entries ``logk``, taken as they are."""
+        k = cls.__new__(cls)
+        k.__dict__["logk"] = _readonly(np.atleast_2d(logk))
+        k.__init__(source, target, np.exp(k.logk))
+        return k
 
 
 # ---------------------------------------------------------------------------
@@ -262,15 +290,15 @@ def pairwise_sq_dists(x, y):
     return np.maximum(d2, 0.0)
 
 
+def log_heat(x, y, eps, t):
+    """Heat kernel logs -d/2 log(2 pi eps t) - |y - x|^2 / (2 eps t), rows x by rows y."""
+    d = np.shape(x)[-1]
+    return -0.5 * d * math.log(2 * math.pi * eps * t) - pairwise_sq_dists(x, y) / (2 * eps * t)
+
+
 def log_eval_kernel(k: KernelSpec):
-    """Exact log kernel entries; safe for arbitrarily small heat times."""
-    if isinstance(k, GaussianHeatKernel):
-        d = k.source.dim
-        d2 = pairwise_sq_dists(k.source.points, k.target.points)
-        return -0.5 * d * math.log(2 * math.pi * k.eps * k.t) - d2 / (2 * k.eps * k.t)
-    if isinstance(k, DenseKernel):
-        return np.log(k.values)
-    raise TypeError(f"unknown kernel spec {type(k).__name__}")
+    """Exact log kernel entries (``k.logk``); safe for arbitrarily small heat times."""
+    return k.logk
 
 
 def eval_kernel(k: KernelSpec):
@@ -302,6 +330,77 @@ def product_support(sx: Support, sy: Support) -> Support:
     vols = np.outer(sx.cell_volumes, sy.cell_volumes).ravel()
     radius = math.hypot(sx.bounding_radius, sy.bounding_radius)
     return Support(points=pts, cell_volumes=vols, bounding_radius=radius)
+
+
+def empirical_measure(points, weights=None) -> DiscreteMeasure:
+    """Probability measure on the distinct rows of ``points``, unit cell volumes.
+
+    Repeated rows pool their mass: row counts over the row total, or the
+    sum of ``weights`` (which must already total one) when given.
+    """
+    pts = np.atleast_2d(points)
+    if weights is None:
+        pts, counts = np.unique(pts, axis=0, return_counts=True)
+        mass = counts / counts.sum()
+    else:
+        pts, inverse = np.unique(pts, axis=0, return_inverse=True)
+        mass = np.bincount(inverse.ravel(), weights=weights)
+    sup = Support(points=pts, cell_volumes=np.ones(len(pts)),
+                  bounding_radius=float(np.linalg.norm(pts, axis=1).max()))
+    return DiscreteMeasure(sup, mass, is_probability=True)
+
+
+def subsample_to_cap(points, k, rng, weights=None) -> DiscreteMeasure:
+    """``empirical_measure(points, weights)`` with at most k atoms, for the W2 oracle.
+
+    Beyond k points, ``rng`` draws k: uniformly without replacement, or
+    with replacement in proportion to ``weights`` when given.
+    """
+    n = len(points)
+    if n <= k:
+        return empirical_measure(points, weights)
+    p = None if weights is None else weights / weights.sum()
+    return empirical_measure(points[rng.choice(n, size=k, replace=p is not None, p=p)])
+
+
+def lattice_neighbors(support: Support):
+    """Neighbor table of a regular, possibly ball-clipped, lattice.
+
+    Returns ``(steps, dirs, fwd, bwd)``: the spacing along each axis; the
+    integer directions, first the d axis unit vectors, then e_a + e_b and
+    e_a - e_b for every axis pair a < b; and (len(dirs), n) arrays holding
+    the id of the neighbor x + e (fwd) and x - e (bwd) of every point x,
+    or -1 where there is none.
+    """
+    pts = support.points
+    n, d = pts.shape
+    idx = np.zeros((n, d), dtype=np.int64)
+    steps = np.zeros(d)
+    mins = pts.min(axis=0)
+    for k in range(d):
+        coords = np.unique(pts[:, k])
+        h = float(np.diff(coords).min()) if len(coords) > 1 else 1.0
+        j = np.round((pts[:, k] - mins[k]) / h)
+        if np.max(np.abs(mins[k] + j * h - pts[:, k])) > 1e-8 * max(1.0, h):
+            raise ValueError("support is not a regular lattice")
+        idx[:, k] = j.astype(np.int64)
+        steps[k] = h
+    eye = np.eye(d, dtype=np.int64)
+    dirs = np.array(list(eye) + [eye[a] + s * eye[b] for a in range(d)
+                                 for b in range(a + 1, d) for s in (1, -1)])
+    # Mixed-radix keys with one spare cell on each side of every axis, so
+    # that key(x + e) = key(x) + key(e) for every neighbor shift e.
+    radix = np.cumprod(np.concatenate([[1], idx.max(axis=0)[:-1] + 3]))
+    keys = (idx + 1) @ radix
+    order = np.argsort(keys)
+    sorted_keys = keys[order]
+
+    def ids(shifted):
+        pos = np.minimum(np.searchsorted(sorted_keys, shifted), n - 1)
+        return np.where(sorted_keys[pos] == shifted, order[pos], -1)
+
+    shifts = (dirs @ radix)[:, None]
+    return steps, dirs, ids(keys + shifts), ids(keys - shifts)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,9 @@ from .core import (
     DiscreteMeasure,
     Support,
     bl_distance,
+    empirical_measure,
     relative_entropy,
+    subsample_to_cap,
     tv_distance,
     w2_distance,
     w2_distance_1d,
@@ -143,25 +145,6 @@ def simulate(p0: Density, sol: SchroedingerSolution, eps, n_paths, n_steps,
                         eps=float(eps), paths=paths)
 
 
-def _empirical_measure(points) -> DiscreteMeasure:
-    pts, counts = np.unique(np.atleast_2d(points), axis=0, return_counts=True)
-    sup = Support(points=pts, cell_volumes=np.ones(len(pts)),
-                  bounding_radius=float(np.linalg.norm(pts, axis=1).max()))
-    return DiscreteMeasure(sup, counts / counts.sum(), is_probability=True)
-
-
-def _subsampled_measure(points, k, rng) -> DiscreteMeasure:
-    n = points.shape[0]
-    if n > k:
-        points = points[rng.choice(n, size=k, replace=False)]
-    return _empirical_measure(points)
-
-
-def _resampled_atoms(mu: DiscreteMeasure, k, rng) -> DiscreteMeasure:
-    idx = rng.choice(mu.support.n_points, size=k, p=mu.weights / mu.weights.sum())
-    return _empirical_measure(mu.support.points[idx])
-
-
 def _bin_edges(radius, bins):
     return np.linspace(-radius, radius, bins + 1)
 
@@ -174,13 +157,10 @@ def binned_joint(x0, x1, radius, bins):
     """Histogram of endpoint pairs on a bins^(2d) lattice over [-radius, radius]."""
     d = x0.shape[1]
     edges = _bin_edges(radius, bins)
-    flat = np.zeros(bins ** (2 * d))
     idx = np.zeros(len(x0), dtype=np.int64)
-    for axis in range(d):
-        idx = idx * bins + _bin_index(x0[:, axis], edges)
-    for axis in range(d):
-        idx = idx * bins + _bin_index(x1[:, axis], edges)
-    np.add.at(flat, idx, 1.0)
+    for coords in np.hstack([x0, x1]).T:
+        idx = idx * bins + _bin_index(coords, edges)
+    flat = np.bincount(idx, minlength=bins ** (2 * d))
     return flat / flat.sum()
 
 
@@ -259,14 +239,14 @@ def endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution, p1: Densi
     """
     rng = np.random.Generator(np.random.Philox(key=ens.seed + 0x9E3779B9))
     target = p1.to_measure().normalized()
-    emp = _empirical_measure(ens.terminal)
+    emp = empirical_measure(ens.terminal)
     bl_term = bl_distance(emp, target)
 
     k = min(subsample, max(2, 400 - min(200, target.support.n_points)))
-    sub = _subsampled_measure(ens.terminal, k, rng)
+    sub = subsample_to_cap(ens.terminal, k, rng)
     tgt_small = target
     if target.support.n_points + sub.support.n_points > 400:
-        tgt_small = _resampled_atoms(target, 200, rng)
+        tgt_small = subsample_to_cap(target.support.points, 200, rng, target.weights)
     w2_sub = w2_distance(sub, tgt_small)
 
     w2_full = None
@@ -290,7 +270,7 @@ def endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution, p1: Densi
         jb = binned_joint(ens.initial[take], ens.terminal[take], radius, bins)
         tv_samples.append(tv_distance(jb, plan_bins))
         if ens.dim == 1:
-            w2_samples.append(w2_distance_1d(_empirical_measure(ens.terminal[take]), target))
+            w2_samples.append(w2_distance_1d(empirical_measure(ens.terminal[take]), target))
     tv_err = float(np.std(tv_samples)) if tv_samples else math.nan
     w2_err = float(np.std(w2_samples)) if w2_samples else math.nan
 

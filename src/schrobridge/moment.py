@@ -21,9 +21,11 @@ from .core import (
     DiscreteMeasure,
     GaussianHeatKernel,
     NonConvergenceError,
-    OracleTooLargeError,
     Support,
     bl_distance,
+    empirical_measure,
+    lattice_neighbors,
+    subsample_to_cap,
     w2_distance,
     w2_distance_1d,
 )
@@ -70,42 +72,14 @@ class MomentMeasureResult:
 # Lattice utilities (gradients and midpoint convexity on grids)
 # ---------------------------------------------------------------------------
 
-def _lattice_index(support: Support):
-    """Integer multi-indices of a regular (possibly ball-clipped) lattice."""
-    pts = support.points
-    n, d = pts.shape
-    idx = np.zeros((n, d), dtype=np.int64)
-    steps = np.zeros(d)
-    mins = pts.min(axis=0)
-    for k in range(d):
-        coords = np.unique(pts[:, k])
-        h = float(np.diff(coords).min()) if len(coords) > 1 else 1.0
-        j = np.round((pts[:, k] - mins[k]) / h)
-        if np.max(np.abs(mins[k] + j * h - pts[:, k])) > 1e-8 * max(1.0, h):
-            raise ValueError("support is not a regular lattice")
-        idx[:, k] = j.astype(np.int64)
-        steps[k] = h
-    lookup = {tuple(row): i for i, row in enumerate(idx)}
-    return idx, steps, lookup
-
-
-def _neighbor_ids(idx, lookup, offset):
-    shifted = idx + np.asarray(offset, dtype=np.int64)
-    return np.array([lookup.get(tuple(row), -1) for row in shifted], dtype=np.int64)
-
-
 def lattice_gradient(values, support: Support):
     """Central differences on the lattice, one-sided at the boundary."""
     values = np.asarray(values, dtype=float)
-    idx, steps, lookup = _lattice_index(support)
-    n, d = idx.shape
+    steps, _, fwd_all, bwd_all = lattice_neighbors(support)
+    n, d = support.n_points, support.dim
     grad = np.zeros((n, d))
     for k in range(d):
-        e = np.zeros(d, dtype=np.int64)
-        e[k] = 1
-        fwd = _neighbor_ids(idx, lookup, e)
-        bwd = _neighbor_ids(idx, lookup, -e)
-        h = steps[k]
+        fwd, bwd, h = fwd_all[k], bwd_all[k], steps[k]
         both = (fwd >= 0) & (bwd >= 0)
         only_f = (fwd >= 0) & (bwd < 0)
         only_b = (fwd < 0) & (bwd >= 0)
@@ -128,20 +102,9 @@ def check_convexity(u_bar, support: Support) -> float:
     Exactly convex grid functions give 0 up to floating error.
     """
     u = np.asarray(u_bar, dtype=float)
-    idx, _, lookup = _lattice_index(support)
-    d = idx.shape[1]
-    dirs = [np.eye(d, dtype=np.int64)[k] for k in range(d)]
-    for a in range(d):
-        for b in range(a + 1, d):
-            e = np.zeros(d, dtype=np.int64)
-            e[a], e[b] = 1, 1
-            dirs.append(e.copy())
-            e[b] = -1
-            dirs.append(e.copy())
+    _, _, fwd_all, bwd_all = lattice_neighbors(support)
     defect = 0.0
-    for e in dirs:
-        fwd = _neighbor_ids(idx, lookup, e)
-        bwd = _neighbor_ids(idx, lookup, -e)
+    for fwd, bwd in zip(fwd_all, bwd_all):
         ok = (fwd >= 0) & (bwd >= 0)
         if not np.any(ok):
             continue
@@ -181,17 +144,16 @@ def uniform_density(support: Support) -> Density:
     return Density(support, v, is_probability=True)
 
 
-def _step(p: Density, p1: Density, eps, r, inner_tol, inner_max_iters,
-          init_log_nu2=None):
+def _step(p: Density, p1: Density, kernel: GaussianHeatKernel, inner_tol,
+          inner_max_iters, init_log_nu2=None):
     """One application of the fixed-point map, returning (density, solve)."""
-    kernel = GaussianHeatKernel(source=p.support, target=p1.support, t=1.0, eps=eps)
     sol = solve_schrodinger(kernel, p.to_measure(), p1.to_measure(),
                             tol=inner_tol, max_iters=inner_max_iters,
                             init_log_nu2=init_log_nu2)
     if not sol.converged:
         raise NonConvergenceError(
             f"inner Schrodinger solve stalled at residual {sol.final_residual:.3e}")
-    logits = -eps * sol.u1 - 0.5 * np.sum(p.support.points**2, axis=1)
+    logits = -kernel.eps * sol.u1 - 0.5 * np.sum(p.support.points**2, axis=1)
     log_z = logsumexp(logits + np.log(p.support.cell_volumes))
     out = Density(p.support, np.exp(logits - log_z), is_probability=True)
     return out, sol
@@ -209,7 +171,8 @@ def fixed_point_step(p: Density, p1: Density, eps, r,
         raise ValueError("iterate support must lie inside B_r")
     if eps <= 0:
         raise ValueError("eps must be positive")
-    out, _ = _step(p, p1, eps, r, inner_tol, inner_max_iters)
+    kernel = GaussianHeatKernel(source=p.support, target=p1.support, t=1.0, eps=eps)
+    out, _ = _step(p, p1, kernel, inner_tol, inner_max_iters)
     return out
 
 
@@ -249,8 +212,9 @@ def solve_fixed_point(p1: Density, eps, r, damping=DEFAULT_DAMPING, tol=1e-9,
     converged = False
     sol = None
     warm = None
+    kernel = GaussianHeatKernel(source=support, target=p1.support, t=1.0, eps=eps)
     for _ in range(max_outer):
-        image, sol = _step(p, p1, eps, r, inner_tol, inner_max_iters, warm)
+        image, sol = _step(p, p1, kernel, inner_tol, inner_max_iters, warm)
         warm = sol.log_nu2
         objectives.append(objective_from_solution(sol, p, p1, eps))
         residual = float(np.abs(image.values - p.values).max())
@@ -317,12 +281,7 @@ def verify_moment_measure(u_bar, support: Support, p1: Density,
         raise ValueError("non-finite gradient at interior points")
     logw = -u + np.log(support.cell_volumes)
     rho_w = np.exp(logw - logsumexp(logw))
-    atoms, inverse = np.unique(du, axis=0, return_inverse=True)
-    weights = np.zeros(len(atoms))
-    np.add.at(weights, inverse, rho_w)
-    push_sup = Support(points=atoms, cell_volumes=np.ones(len(atoms)),
-                       bounding_radius=float(np.linalg.norm(atoms, axis=1).max() + 1e-12))
-    push = DiscreteMeasure(push_sup, weights, is_probability=True)
+    push = empirical_measure(du, rho_w)
     target = p1.to_measure().normalized()
     pushforward_error = bl_distance(push, target)
 
@@ -333,21 +292,9 @@ def verify_moment_measure(u_bar, support: Support, p1: Density,
     else:
         rng = np.random.Generator(np.random.Philox(key=seed))
         half = w2_cap // 2
-
-        def shrink(mu):
-            if mu.support.n_points <= half:
-                return mu
-            take = rng.choice(mu.support.n_points, size=half,
-                              p=mu.weights / mu.weights.sum())
-            pts, counts = np.unique(mu.support.points[take], axis=0, return_counts=True)
-            sup = Support(points=pts, cell_volumes=np.ones(len(pts)),
-                          bounding_radius=mu.support.bounding_radius)
-            return DiscreteMeasure(sup, counts / counts.sum(), is_probability=True)
-
-        try:
-            w2 = w2_distance(shrink(rho), shrink(target), cap=w2_cap)
-        except OracleTooLargeError:  # pragma: no cover - shrink prevents this
-            w2 = math.nan
+        w2 = w2_distance(subsample_to_cap(rho.support.points, half, rng, rho.weights),
+                         subsample_to_cap(target.support.points, half, rng, target.weights),
+                         cap=w2_cap)
     return pushforward_error, coupling_cost - w2 * w2
 
 
@@ -362,8 +309,9 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
     u = -log p0 gauged to min zero, with its midpoint-convexity defect and
     pushforward error; per-level diagnostics record residual, objective,
     the bounded-Lipschitz drift between consecutive densities, and the
-    per-level convexity/pushforward numbers. A non-converged level aborts
-    with the partial schedule attached to the error.
+    per-level convexity/pushforward numbers. A non-converged level aborts;
+    the error's ``partial`` holds the ``diagnostics`` rows and ``traces``
+    of the levels completed before it.
     """
     eps_schedule = tuple(float(e) for e in eps_schedule)
     if len(eps_schedule) == 0 or any(e <= 0 for e in eps_schedule):
@@ -375,15 +323,18 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
     rows = []
     prev = None
     for eps in eps_schedule:
-        trace = solve_fixed_point(
-            p1c, eps, r, damping=damping, tol=tol, max_outer=max_outer,
-            init=prev, inner_tol=inner_tol, inner_max_iters=inner_max_iters,
-            recenter=False)
-        if not trace.converged:
-            raise NonConvergenceError(
-                f"fixed point did not converge at eps={eps:g} "
-                f"(residual {trace.residual:.3e})",
-                partial=tuple(traces))
+        try:
+            trace = solve_fixed_point(
+                p1c, eps, r, damping=damping, tol=tol, max_outer=max_outer,
+                init=prev, inner_tol=inner_tol, inner_max_iters=inner_max_iters,
+                recenter=False)
+            if not trace.converged:
+                raise NonConvergenceError(
+                    f"fixed point did not converge at eps={eps:g} "
+                    f"(residual {trace.residual:.3e})")
+        except NonConvergenceError as exc:
+            exc.partial = {"diagnostics": tuple(rows), "traces": tuple(traces)}
+            raise
         p_eps = trace.final
         u_eps = -np.log(p_eps.values)
         u_eps = u_eps - u_eps.min()

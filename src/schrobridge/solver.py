@@ -24,6 +24,7 @@ from .core import (
     GaussianHeatKernel,
     KernelSpec,
     log_eval_kernel,
+    log_heat,
     product_support,
     same_support,
     tv_distance,
@@ -100,12 +101,10 @@ def solve_schrodinger(
     max_iters=DEFAULT_MAX_ITERS,
     init_log_nu2=None,
     track_residuals=False,
-    log_domain=True,
 ) -> SchroedingerSolution:
     """Solve the Schrodinger system by alternating marginal fitting.
 
-    Sweeps run in the log domain with logsumexp reductions (`log_domain=False`
-    retains the plain-domain iteration for cross-validation only). Stops when
+    Sweeps run in the log domain with logsumexp reductions. Stops when
     the larger of the two marginal total-variation defects drops to ``tol``;
     if the sweep budget runs out the best iterate is returned flagged
     non-converged. Zero-mass marginal points receive zero factor weight.
@@ -127,50 +126,29 @@ def solve_schrodinger(
         b = np.asarray(init_log_nu2, dtype=float).copy()
 
     history = [] if track_residuals else None
-    if log_domain:
-        buf = np.empty_like(logk)
+    buf = np.empty_like(logk)
 
-        def lse(vec, axis):
-            # logsumexp of logk + vec broadcast along `axis`, reusing one buffer
-            np.add(logk, vec[None, :] if axis == 1 else vec[:, None], out=buf)
-            mx = buf.max(axis=axis)
-            np.subtract(buf, mx[:, None] if axis == 1 else mx[None, :], out=buf)
-            np.exp(buf, out=buf)
-            return mx + np.log(buf.sum(axis=axis))
+    def lse(vec, axis):
+        # logsumexp of logk + vec broadcast along `axis`, reusing one buffer
+        np.add(logk, vec[None, :] if axis == 1 else vec[:, None], out=buf)
+        mx = buf.max(axis=axis)
+        np.subtract(buf, mx[:, None] if axis == 1 else mx[None, :], out=buf)
+        np.exp(buf, out=buf)
+        return mx + np.log(buf.sum(axis=axis))
 
+    u1 = lse(b, 1)
+    residual = math.inf
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        a = logmu1 - u1
+        u2 = lse(a, 0)
+        b = logmu2 - u2
         u1 = lse(b, 1)
-        residual = math.inf
-        iterations = 0
-        for iterations in range(1, max_iters + 1):
-            a = logmu1 - u1
-            u2 = lse(a, 0)
-            b = logmu2 - u2
-            u1 = lse(b, 1)
-            residual = tv_distance(np.exp(a + u1), mu1.weights)
-            if history is not None:
-                history.append(residual)
-            if residual <= tol:
-                break
-    else:
-        k = np.exp(logk)
-        nu2 = np.exp(b)
-        nu1 = np.zeros(mu1.support.n_points)
-        residual = math.inf
-        iterations = 0
-        for iterations in range(1, max_iters + 1):
-            with np.errstate(invalid="ignore", divide="ignore"):
-                nu1 = np.where(mu1.weights > 0, mu1.weights / (k @ nu2), 0.0)
-                nu2 = np.where(mu2.weights > 0, mu2.weights / (k.T @ nu1), 0.0)
-            residual = tv_distance(nu1 * (k @ nu2), mu1.weights)
-            if history is not None:
-                history.append(residual)
-            if residual <= tol:
-                break
-        with np.errstate(divide="ignore"):
-            a = np.log(nu1)
-            b = np.log(nu2)
-        u1 = logsumexp(logk + b[None, :], axis=1)
-        u2 = logsumexp(logk + a[:, None], axis=0)
+        residual = tv_distance(np.exp(a + u1), mu1.weights)
+        if history is not None:
+            history.append(residual)
+        if residual <= tol:
+            break
 
     # Compact-support normalization: the exhaustion of a compact support
     # starts at the support itself, so equalize total masses.
@@ -265,12 +243,8 @@ def potential_at(sol: SchroedingerSolution, points, side=1):
     if not isinstance(k, GaussianHeatKernel):
         raise TypeError("off-grid potentials need an analytic kernel")
     pts = np.atleast_2d(np.asarray(points, dtype=float))
-    log_norm = -0.5 * k.source.dim * math.log(2 * math.pi * k.eps * k.t)
-    if side == 1:
-        d2 = np.asarray([np.sum((k.target.points - p) ** 2, axis=1) for p in pts])
-        return logsumexp(log_norm - d2 / (2 * k.eps * k.t) + sol.log_nu2[None, :], axis=1)
-    d2 = np.asarray([np.sum((k.source.points - p) ** 2, axis=1) for p in pts])
-    return logsumexp(log_norm - d2 / (2 * k.eps * k.t) + sol.log_nu1[None, :], axis=1)
+    grid, log_nu = (k.target, sol.log_nu2) if side == 1 else (k.source, sol.log_nu1)
+    return logsumexp(log_heat(pts, grid.points, k.eps, k.t) + log_nu[None, :], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -20,7 +20,8 @@ from .core import (
     GaussianHeatKernel,
     KernelSpec,
     bl_distance,
-    eval_kernel,
+    lattice_neighbors,
+    log_eval_kernel,
     pairwise_sq_dists,
     product_support,
 )
@@ -81,8 +82,9 @@ def make_family(base_q: KernelSpec, base_mu1: DiscreteMeasure,
                 base_mu2: DiscreteMeasure, kind, params=None) -> PerturbationFamily:
     """Build a perturbation family around a base instance.
 
-    kind = "kernel_perturbation": q_n = q * exp(amplitude / n * psi) with
-    the fixed smooth profile psi; marginals unchanged.
+    kind = "kernel_perturbation": log q_n = log q + amplitude / n * psi with
+    the fixed smooth profile psi, built from log entries so that no entry
+    underflows; marginals unchanged.
     kind = "marginal_mollification": both marginals Gaussian-smoothed with
     bandwidth / n and re-gridded.
     kind = "marginal_empirical": both marginals replaced by n seeded
@@ -98,19 +100,18 @@ def make_family(base_q: KernelSpec, base_mu1: DiscreteMeasure,
     if any(n <= 0 for n in index_set):
         raise ValueError("family indices must be positive")
 
-    base_k = eval_kernel(base_q)
     kernels, mu1s, mu2s, gaps = [], [], [], []
     if kind == "kernel_perturbation":
         psi = _smooth_wiggle(base_q.source, base_q.target)
+        logq = log_eval_kernel(base_q)
+        base_k = np.exp(logq)
         for n in index_set:
-            values = base_k * np.exp((amplitude / n) * psi)
-            if not np.all(values > 0) or not np.all(np.isfinite(values)):
-                raise ValueError("perturbation produced a non-positive kernel")
-            kernels.append(DenseKernel(source=base_q.source, target=base_q.target,
-                                       values=values))
+            qn = DenseKernel.from_log(base_q.source, base_q.target,
+                                      logq + (amplitude / n) * psi)
+            kernels.append(qn)
             mu1s.append(base_mu1)
             mu2s.append(base_mu2)
-            gaps.append(float(np.abs(values - base_k).max()))
+            gaps.append(float(np.abs(qn.values - base_k).max()))
     elif kind == "marginal_mollification":
         for n in index_set:
             bw = bandwidth / n
@@ -263,24 +264,11 @@ def semiconvexity_constant(q: KernelSpec, r) -> float:
     """
     if isinstance(q, GaussianHeatKernel):
         return 1.0 / (2.0 * q.eps * q.t)
-    from .moment import _lattice_index, _neighbor_ids
-
-    logk = np.log(q.values)
+    logk = log_eval_kernel(q)
     worst = 0.0
     for axis_support, table in ((q.source, logk), (q.target, logk.T)):
-        idx, steps, lookup = _lattice_index(axis_support)
-        d = idx.shape[1]
-        dirs = [(np.eye(d, dtype=np.int64)[k], steps[k] ** 2) for k in range(d)]
-        for a in range(d):
-            for b in range(a + 1, d):
-                e = np.zeros(d, dtype=np.int64)
-                e[a], e[b] = 1, 1
-                dirs.append((e.copy(), steps[a] ** 2 + steps[b] ** 2))
-                e[b] = -1
-                dirs.append((e.copy(), steps[a] ** 2 + steps[b] ** 2))
-        for e, h_sq in dirs:
-            fwd = _neighbor_ids(idx, lookup, e)
-            bwd = _neighbor_ids(idx, lookup, -e)
+        steps, dirs, fwd_all, bwd_all = lattice_neighbors(axis_support)
+        for h_sq, fwd, bwd in zip((dirs**2) @ steps**2, fwd_all, bwd_all):
             ok = (fwd >= 0) & (bwd >= 0)
             if not np.any(ok):
                 continue

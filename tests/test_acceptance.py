@@ -34,7 +34,7 @@ from schrobridge import (
     zero_noise_continuation,
 )
 from schrobridge.cli import main
-from schrobridge.hpath import _empirical_measure
+from schrobridge.core import empirical_measure
 from schrobridge.io import save_density_csv, save_measure_csv
 from conftest import gaussian_density, random_instance, two_point_support
 
@@ -175,7 +175,7 @@ def test_acceptance_05_bridge_endpoints():
     for offset in (1, 2, 3):
         rng = np.random.Generator(np.random.Philox(key=seed + offset))
         direct = sample_density(p1, n_paths, rng)
-        floors.append(w2_distance_1d(_empirical_measure(direct), target))
+        floors.append(w2_distance_1d(empirical_measure(direct), target))
     floor = float(np.mean(floors))
 
     ok_w2 = diag.w2_full_1d <= 3.0 * floor

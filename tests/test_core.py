@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from schrobridge import (
+    DenseKernel,
     Density,
     DiscreteMeasure,
     GaussianHeatKernel,
@@ -18,6 +19,7 @@ from schrobridge import (
     w2_distance,
     w2_distance_1d,
 )
+from schrobridge.core import empirical_measure, lattice_neighbors, log_eval_kernel
 from conftest import gaussian_density
 
 
@@ -63,6 +65,83 @@ class TestSupportInvariants:
         with pytest.raises(ValueError, match="radius"):
             Support(points=np.array([[2.0]]), cell_volumes=np.ones(1),
                     bounding_radius=1.0)
+
+
+class TestNonFiniteRejected:
+    def test_support_nan_point(self):
+        with pytest.raises(ValueError, match="finite"):
+            Support(points=np.array([[0.0], [np.nan]]), cell_volumes=np.ones(2),
+                    bounding_radius=1.0)
+
+    def test_measure_nan_weight(self, sup2):
+        with pytest.raises(ValueError, match="finite"):
+            DiscreteMeasure(sup2, np.array([np.nan, 1.0]))
+
+    def test_density_nan_value(self, sup2):
+        with pytest.raises(ValueError, match="finite"):
+            Density(sup2, np.array([0.5, np.nan]))
+
+    def test_dense_kernel_inf_entry(self, sup2):
+        with pytest.raises(ValueError, match="finite"):
+            DenseKernel(source=sup2, target=sup2,
+                        values=np.array([[1.0, np.inf], [1.0, 1.0]]))
+
+
+class TestLogKernel:
+    def test_cached_and_read_only(self, gauss_kernel):
+        logk = log_eval_kernel(gauss_kernel)
+        assert logk is gauss_kernel.logk
+        assert not logk.flags.writeable
+
+    def test_dense_from_log_keeps_entries_below_underflow(self, sup2):
+        logk = np.array([[0.0, -2000.0], [-2000.0, 0.0]])
+        q = DenseKernel.from_log(sup2, sup2, logk)
+        assert np.array_equal(q.logk, logk)
+        assert q.values[0, 1] == 0.0
+        with pytest.raises(ValueError, match="finite"):
+            DenseKernel.from_log(sup2, sup2, np.array([[0.0, -np.inf], [0.0, 0.0]]))
+
+
+class TestEmpiricalMeasure:
+    def test_repeated_rows_pool_mass(self):
+        mu = empirical_measure(np.array([[1.0], [0.0], [1.0], [1.0]]))
+        assert np.array_equal(mu.support.points[:, 0], [0.0, 1.0])
+        assert np.array_equal(mu.weights, [0.25, 0.75])
+        weighted = empirical_measure(np.array([[1.0], [0.0], [1.0]]),
+                                     np.array([0.5, 0.2, 0.3]))
+        assert np.allclose(weighted.weights, [0.2, 0.8], atol=1e-15)
+
+
+def dict_lookup_neighbors(support, offset):
+    """Reference: the per-point dict lookup the vectorized table replaced."""
+    pts = support.points
+    mins = pts.min(axis=0)
+    idx = np.zeros(pts.shape, dtype=np.int64)
+    for k in range(pts.shape[1]):
+        coords = np.unique(pts[:, k])
+        h = float(np.diff(coords).min()) if len(coords) > 1 else 1.0
+        idx[:, k] = np.round((pts[:, k] - mins[k]) / h).astype(np.int64)
+    lookup = {tuple(row): i for i, row in enumerate(idx)}
+    return np.array([lookup.get(tuple(row + offset), -1) for row in idx])
+
+
+class TestLatticeNeighbors:
+    @pytest.mark.parametrize("grid", [make_grid(2, 1.5, 13), make_grid(1, 2.0, 9)],
+                             ids=["ball_clipped_2d", "1d"])
+    def test_matches_dict_lookup(self, grid):
+        steps, dirs, fwd, bwd = lattice_neighbors(grid)
+        d = grid.dim
+        assert len(dirs) == d * d
+        assert np.allclose(steps, grid.cell_volumes[0] ** (1.0 / d))
+        for e, f, b in zip(dirs, fwd, bwd):
+            assert np.array_equal(f, dict_lookup_neighbors(grid, e))
+            assert np.array_equal(b, dict_lookup_neighbors(grid, -e))
+
+    def test_rejects_irregular_points(self):
+        s = Support(points=np.array([[0.0], [1.0], [2.5]]), cell_volumes=np.ones(3),
+                    bounding_radius=2.5)
+        with pytest.raises(ValueError, match="regular lattice"):
+            lattice_neighbors(s)
 
 
 class TestMeasureInvariants:

@@ -136,6 +136,16 @@ class TestCliSolve:
             fh.write("kernel = gaussian:1\n")
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
 
+    def test_nan_weight_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "m.csv"
+        with open(p, "w") as fh:
+            fh.write("x_1,weight\n0.0,0.5\n1.0,nan\n")
+        cfg = tmp_path / "c.cfg"
+        with open(cfg, "w") as fh:
+            fh.write(f"mu1 = {p}\nmu2 = {p}\nkernel = gaussian:1\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "weights must be finite" in capsys.readouterr().err
+
     def test_non_convergence_exits_2(self, tmp_path):
         p = tmp_path / "m.csv"
         g = make_grid(1, 3.0, 41)
@@ -251,6 +261,22 @@ class TestCliMoment:
         assert result["pushforward_error"] < 0.1
         diag = np.loadtxt(out / "moment_diagnostics.csv", delimiter=",", skiprows=1)
         assert diag.shape[0] == 2
+
+    def test_exit_2_writes_completed_levels(self, tmp_path):
+        # One outer step per level: eps = 8 meets tol = 0.07 in one step,
+        # eps = 0.1 does not.
+        cfg = tmp_path / "c.cfg"
+        with open(cfg, "w") as fh:
+            fh.write("p1 = gaussian:0,1\nr = 4.0\nschedule = 8,0.1\n"
+                     "tol = 0.07\nmax_outer = 1\n")
+        out = tmp_path / "o"
+        assert main(["moment", "--config", str(cfg), "--grid", "1,4,41",
+                     "--out", str(out)]) == 2
+        assert not (out / "moment.json").exists()
+        diag = np.loadtxt(out / "moment_diagnostics.csv", delimiter=",",
+                          skiprows=1, ndmin=2)
+        assert diag.shape[0] == 1
+        assert diag[0, 0] == 8.0
 
 
 class TestCliStability:

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from schrobridge import (
     DenseKernel,
     DiscreteMeasure,
     GaussianHeatKernel,
+    UnderflowWarning,
     bl_distance,
     make_family,
     make_grid,
@@ -47,6 +49,21 @@ class TestMakeFamily:
             assert np.array_equal(np.array(qn.values), base)
             assert m1 is mu1 and m2 is mu2
         assert fam.kernel_sup_gaps == (0.0, 0.0)
+
+    def test_small_eps_kernel_perturbation_is_exact_in_logs(self):
+        g = make_grid(1, 4.0, 81)
+        w = np.exp(-g.points[:, 0] ** 2)
+        mu = DiscreteMeasure(g, w / w.sum(), is_probability=True)
+        q = GaussianHeatKernel(source=g, target=g, t=1.0, eps=0.01)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", UnderflowWarning)
+            fam = make_family(q, mu, mu, "kernel_perturbation",
+                              {"index_set": [4, 16], "amplitude": 1.0})
+        x = g.points[:, 0]
+        psi = np.outer(np.sin(x), np.cos(x))  # the family's profile in 1-D
+        for pos, n in enumerate(fam.index_set):
+            qn, _, _ = fam.member(pos)
+            assert np.array_equal(qn.logk, q.logk + (1.0 / n) * psi)
 
     def test_kernel_gap_shrinks_with_index(self, base_instance):
         q, mu1, mu2 = base_instance
