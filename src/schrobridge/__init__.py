@@ -25,6 +25,7 @@ from .core import (
     eval_kernel,
     log_eval_kernel,
     make_grid,
+    product_bl_distance,
     product_support,
     relative_entropy,
     tv_distance,
@@ -36,7 +37,7 @@ from .solver import (
     check_beurling_bounds,
     check_level_bounds,
     check_product_identity,
-    bridge_plan,
+    plan_matrix,
     potential_at,
     rescaled,
     solve_schrodinger,
@@ -64,6 +65,5 @@ from .stability import (
     PerturbationFamily,
     make_family,
     run_convergence,
-    run_supnorm_convergence,
     semiconvexity_constant,
 )

@@ -25,7 +25,6 @@ from .core import (
     KernelSpec,
     log_eval_kernel,
     log_heat,
-    product_support,
     same_support,
     tv_distance,
 )
@@ -108,6 +107,8 @@ def solve_schrodinger(
     the larger of the two marginal total-variation defects drops to ``tol``;
     if the sweep budget runs out the best iterate is returned flagged
     non-converged. Zero-mass marginal points receive zero factor weight.
+    Raises ValueError when the factor masses leave the float64 range, as
+    for heat kernels at too small an eps.
     """
     if not (mu1.is_probability and mu2.is_probability):
         raise ValueError("marginals must be probability measures")
@@ -152,8 +153,13 @@ def solve_schrodinger(
 
     # Compact-support normalization: the exhaustion of a compact support
     # starts at the support itself, so equalize total masses.
-    t1 = float(np.exp(a).sum())
-    t2 = float(np.exp(b).sum())
+    with np.errstate(over="ignore"):
+        t1 = float(np.exp(a).sum())
+        t2 = float(np.exp(b).sum())
+    if not (0.0 < t1 < math.inf and 0.0 < t2 < math.inf):
+        raise ValueError(
+            "factor masses beyond the float64 range: the kernel is too sharp "
+            "(eps too small) for these marginals")
     scale_c = math.sqrt(t2 / t1)
     log_c = 0.5 * (math.log(t2) - math.log(t1))
     a = a + log_c
@@ -200,20 +206,12 @@ def rescaled(sol: SchroedingerSolution, c) -> SchroedingerSolution:
     )
 
 
-def bridge_plan(sol: SchroedingerSolution) -> DiscreteMeasure:
-    """The coupling nu1_i q_ij nu2_j as a measure on the product support.
+def plan_matrix(sol: SchroedingerSolution):
+    """The coupling nu1_i q_ij nu2_j as an (n, m) array over the pairs (x_i, y_j).
 
     Both marginals match mu1, mu2 within the solution residual, and the
     matrix coincides with q * exp(-u1(x) - u2(y)) mu1(dx) mu2(dy).
     """
-    mass = np.exp(sol.log_plan()).ravel()
-    support = product_support(sol.mu1.support, sol.mu2.support)
-    return DiscreteMeasure(
-        support, mass, is_probability=abs(mass.sum() - 1.0) <= 1e-12)
-
-
-def plan_matrix(sol: SchroedingerSolution):
-    """Plan masses as an (n, m) array without materializing the product support."""
     return np.exp(sol.log_plan())
 
 

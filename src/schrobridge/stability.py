@@ -19,15 +19,15 @@ from .core import (
     DiscreteMeasure,
     GaussianHeatKernel,
     KernelSpec,
-    bl_distance,
+    NonConvergenceError,
     lattice_neighbors,
     log_eval_kernel,
     pairwise_sq_dists,
-    product_support,
+    product_bl_distance,
 )
 from .solver import (
     SchroedingerSolution,
-    bridge_plan,
+    plan_matrix,
     solve_schrodinger,
     truncated_potentials,
 )
@@ -140,7 +140,6 @@ class ConvergenceRow:
     plan_bl: float
     product_gap: float
     potential_gap: float
-    potential_gap_individual: float
     supnorm_gap: float
     solved: bool
 
@@ -171,11 +170,6 @@ class ConvergenceReport:
         return out
 
 
-def _product_factor_measure(sol: SchroedingerSolution) -> DiscreteMeasure:
-    w = np.outer(sol.nu1.weights, sol.nu2.weights).ravel()
-    return DiscreteMeasure(product_support(sol.mu1.support, sol.mu2.support), w)
-
-
 def _snap(support, point):
     return int(np.argmin(np.sum((support.points - point[None, :]) ** 2, axis=1)))
 
@@ -187,23 +181,18 @@ def potential_sum_gap(sol_a: SchroedingerSolution, sol_b: SchroedingerSolution,
     ``probe_pairs`` are (source index, target index) pairs into the base
     supports; for the perturbed solution the probe may move by
     ``moving_shift`` (a vector) and is snapped to the nearest grid point.
-    Returns (sum_gap, individual_gap). The sum is invariant under the
-    factor-scaling gauge; the individual gaps additionally rely on the
-    equal-mass normalization.
+    The sum is invariant under the factor-scaling gauge.
     """
     u1a, u2a = truncated_potentials(sol_a, m)
     u1b, u2b = truncated_potentials(sol_b, m)
     sum_gap = 0.0
-    indiv_gap = 0.0
     for i1, i2 in probe_pairs:
         j1, j2 = i1, i2
         if moving_shift is not None:
             j1 = _snap(sol_b.mu1.support, sol_a.mu1.support.points[i1] + moving_shift)
             j2 = _snap(sol_b.mu2.support, sol_a.mu2.support.points[i2] + moving_shift)
         sum_gap = max(sum_gap, abs((u1b[j1] + u2b[j2]) - (u1a[i1] + u2a[i2])))
-        indiv_gap = max(indiv_gap,
-                        abs(u1b[j1] - u1a[i1]) + abs(u2b[j2] - u2a[i2]))
-    return sum_gap, indiv_gap
+    return sum_gap
 
 
 def _supnorm_gap(sol_a, sol_b, r_prime):
@@ -223,15 +212,19 @@ def run_convergence(base, fam: PerturbationFamily, probes, m,
     product factor measures; worst probe gap of the truncated potential
     sums with probes moved by probe_shift / n along the first axis (snapped
     to the grid); and, when ``r_prime`` is given, the summed sup-norm
-    potential gap over B_{r_prime}. Member solve failures are recorded
-    per row, not fatal.
+    potential gap over B_{r_prime}, valid under the equal-mass
+    normalization (always in force here) and a finite semiconvexity
+    constant of the base kernel. Plans and product factor measures are
+    compared as (n, m) weight matrices on the base supports, which every
+    family member shares. A member whose solve stalls or is rejected
+    (NonConvergenceError, ValueError) is recorded as an unsolved row.
     """
     q, mu1, mu2 = base
     base_sol = solve_schrodinger(q, mu1, mu2, tol=tol, max_iters=max_iters)
-    base_plan = bridge_plan(base_sol)
-    base_product = _product_factor_measure(base_sol)
-    d = mu1.support.dim
-    shift_dir = np.zeros(d)
+    base_plan = plan_matrix(base_sol)
+    base_product = np.outer(base_sol.nu1.weights, base_sol.nu2.weights)
+    source, target = mu1.support, mu2.support
+    shift_dir = np.zeros(source.dim)
     shift_dir[0] = 1.0
     rows = []
     for pos, n in enumerate(fam.index_set):
@@ -239,18 +232,18 @@ def run_convergence(base, fam: PerturbationFamily, probes, m,
         try:
             sol = solve_schrodinger(qn, m1n, m2n, tol=tol, max_iters=max_iters)
             if not sol.converged:
-                raise RuntimeError("member solve did not converge")
-        except Exception:
+                raise NonConvergenceError("member solve did not converge")
+        except (NonConvergenceError, ValueError):
             rows.append(ConvergenceRow(n, math.nan, math.nan, math.nan,
-                                       math.nan, math.nan, False))
+                                       math.nan, False))
             continue
-        plan_gap = bl_distance(bridge_plan(sol), base_plan)
-        product_gap = bl_distance(_product_factor_measure(sol), base_product)
-        sum_gap, indiv_gap = potential_sum_gap(
+        plan_gap = product_bl_distance(source, target, plan_matrix(sol), base_plan)
+        product_gap = product_bl_distance(
+            source, target, np.outer(sol.nu1.weights, sol.nu2.weights), base_product)
+        sum_gap = potential_sum_gap(
             base_sol, sol, m, probes, moving_shift=(probe_shift / n) * shift_dir)
         sup_gap = _supnorm_gap(base_sol, sol, r_prime) if r_prime is not None else math.nan
-        rows.append(ConvergenceRow(n, plan_gap, product_gap, sum_gap,
-                                   indiv_gap, sup_gap, True))
+        rows.append(ConvergenceRow(n, plan_gap, product_gap, sum_gap, sup_gap, True))
     return ConvergenceReport(rows=tuple(rows), probes=tuple(probes), m=m)
 
 
@@ -275,20 +268,3 @@ def semiconvexity_constant(q: KernelSpec, r) -> float:
             second = (table[fwd[ok], :] + table[bwd[ok], :] - 2 * table[ok, :]) / h_sq
             worst = min(worst, float(second.min()))
     return max(0.0, -worst / 2.0)
-
-
-def run_supnorm_convergence(base, fam: PerturbationFamily, r_prime,
-                            tol=1e-12, max_iters=20000):
-    """Per-n summed sup-norm gaps of both potentials over B_{r_prime}.
-
-    Valid under the equal-mass normalization (always in force here) and a
-    finite semiconvexity constant of the base kernel.
-    """
-    q, mu1, mu2 = base
-    base_sol = solve_schrodinger(q, mu1, mu2, tol=tol, max_iters=max_iters)
-    out = []
-    for pos, n in enumerate(fam.index_set):
-        qn, m1n, m2n = fam.member(pos)
-        sol = solve_schrodinger(qn, m1n, m2n, tol=tol, max_iters=max_iters)
-        out.append((n, _supnorm_gap(base_sol, sol, r_prime)))
-    return out

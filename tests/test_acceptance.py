@@ -23,7 +23,6 @@ from schrobridge import (
     make_family,
     make_grid,
     run_convergence,
-    run_supnorm_convergence,
     sample_density,
     semiconvexity_constant,
     simulate,
@@ -231,10 +230,11 @@ def test_acceptance_07_supnorm_stability():
     c_r = semiconvexity_constant(q, 2.0)
     fam = make_family(q, mu1, mu2, "marginal_mollification",
                       {"index_set": [2, 4, 8, 16], "bandwidth": 0.5})
-    out = run_supnorm_convergence(base, fam, r_prime=1.8)
-    final_gap = out[-1][1]
-    ok = (c_r == pytest.approx(1.0 / (2 * 0.8)) and final_gap <= 1e-3
-          and out[0][1] > final_gap)
+    rep = run_convergence(base, fam, [(5, 17), (20, 20), (33, 8)], m=2, r_prime=1.8)
+    final_gap = rep.rows[-1].supnorm_gap
+    ok = (all(row.solved for row in rep.rows)
+          and c_r == pytest.approx(1.0 / (2 * 0.8)) and final_gap <= 1e-3
+          and rep.rows[0].supnorm_gap > final_gap)
     _report(7, "sup-norm stability", ok,
             f"semiconvexity constant {c_r:.4f}, finest gap {final_gap:.2e}")
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from schrobridge import (
     DenseKernel,
@@ -15,6 +16,8 @@ from schrobridge import (
     entropy,
     eval_kernel,
     make_grid,
+    product_bl_distance,
+    product_support,
     relative_entropy,
     w2_distance,
     w2_distance_1d,
@@ -351,3 +354,36 @@ class TestBLDistance:
             vals.append(bl_distance(emp, target))
         assert vals[2] < vals[0]
         assert vals[2] < 0.02
+
+
+# (source, target) grids: 1-D pairs with different bounding radii, and
+# ball-clipped 2-D grids, whose 4-D product dictionary drops the bump levels
+# with more than _BL_MAX_CENTERS centers.
+PRODUCT_GRIDS = [
+    ((1, 2.0, 9), (1, 2.0, 9)),
+    ((1, 0.5, 5), (1, 3.0, 7)),
+    ((2, 1.0, 6), (2, 1.5, 5)),
+    ((1, 1.0, 6), (2, 1.0, 5)),
+]
+
+
+class TestProductBLDistance:
+    @pytest.mark.parametrize("source_grid, target_grid", PRODUCT_GRIDS)
+    @settings(derandomize=True, max_examples=20, deadline=None)
+    @given(seed=st.integers(0, 2**32 - 1))
+    def test_matches_bl_distance_on_product_support(self, source_grid, target_grid, seed):
+        source, target = make_grid(*source_grid), make_grid(*target_grid)
+        product = product_support(source, target)
+        rng = np.random.default_rng(seed)
+        w1, w2 = (rng.dirichlet(np.ones(product.n_points)).reshape(
+            source.n_points, target.n_points) for _ in range(2))
+        expected = bl_distance(DiscreteMeasure(product, w1.ravel()),
+                               DiscreteMeasure(product, w2.ravel()))
+        assert product_bl_distance(source, target, w1, w2) == pytest.approx(
+            expected, abs=1e-12)
+        assert product_bl_distance(source, target, w1, w1) == 0.0
+
+    def test_shape_mismatch_rejected(self):
+        g = make_grid(1, 1.0, 4)
+        with pytest.raises(ValueError, match="do not match"):
+            product_bl_distance(g, g, np.ones((4, 3)), np.ones((4, 3)))

@@ -10,7 +10,6 @@ from schrobridge import (
     check_beurling_bounds,
     check_level_bounds,
     check_product_identity,
-    bridge_plan,
     log_eval_kernel,
     make_grid,
     rescaled,
@@ -51,6 +50,15 @@ def plain_domain_solve(q, mu1, mu2, tol, max_iters=5000):
 
 
 class TestSolve:
+    def test_factor_mass_overflow_named(self):
+        g = make_grid(1, 4.0, 41)
+        w = np.exp(-g.points[:, 0] ** 2 / 2)
+        uniform = DiscreteMeasure(g, np.full(41, 1 / 41), is_probability=True)
+        gauss = DiscreteMeasure(g, w / w.sum(), is_probability=True)
+        q = GaussianHeatKernel(source=g, target=g, eps=0.001)
+        with pytest.raises(ValueError, match="factor masses beyond the float64 range"):
+            solve_schrodinger(q, uniform, gauss, max_iters=1000)
+
     def test_symmetric_2x2_closed_form(self, q2x2, mu_half):
         sol = solve_schrodinger(q2x2, mu_half, mu_half, tol=1e-14)
         expected = 1.0 / math.sqrt(6.0)
@@ -173,9 +181,9 @@ class TestPlan:
 
     def test_product_support_measure(self, q2x2, mu_half):
         sol = solve_schrodinger(q2x2, mu_half, mu_half, tol=1e-14)
-        plan = bridge_plan(sol)
-        assert plan.support.n_points == 4
-        assert plan.total_mass == pytest.approx(1.0, abs=1e-12)
+        plan = plan_matrix(sol)
+        assert plan.size == 4
+        assert plan.sum() == pytest.approx(1.0, abs=1e-12)
 
     def test_two_factorizations_agree(self, grid_1d, gauss_kernel):
         x = grid_1d.points[:, 0]

@@ -14,10 +14,10 @@ from schrobridge import (
     make_grid,
     rescaled,
     run_convergence,
-    run_supnorm_convergence,
     semiconvexity_constant,
     solve_schrodinger,
 )
+from schrobridge import stability
 from schrobridge.stability import potential_sum_gap
 
 
@@ -142,6 +142,21 @@ class TestRunConvergence:
         assert all(not row.solved for row in rep.rows)
         assert all(math.isnan(row.plan_bl) for row in rep.rows)
 
+    def test_member_programming_error_propagates(self, base_instance, monkeypatch):
+        q, mu1, mu2 = base_instance
+        fam = make_family(q, mu1, mu2, "kernel_perturbation",
+                          {"index_set": [4], "amplitude": 1.0})
+        solve = stability.solve_schrodinger
+
+        def broken_member_solve(kernel, *args, **kwargs):
+            if kernel is not q:
+                raise TypeError("bug in a member solve")
+            return solve(kernel, *args, **kwargs)
+
+        monkeypatch.setattr(stability, "solve_schrodinger", broken_member_solve)
+        with pytest.raises(TypeError, match="bug in a member solve"):
+            run_convergence(base_instance, fam, PROBES, m=2)
+
 
 class TestPotentialSumGauge:
     def test_sum_gap_invariant_under_rescaling(self, base_instance):
@@ -150,9 +165,9 @@ class TestPotentialSumGauge:
         fam = make_family(q, mu1, mu2, "kernel_perturbation",
                           {"index_set": [8], "amplitude": 1.0})
         other = solve_schrodinger(*fam.member(0), tol=1e-13)
-        base_gap, _ = potential_sum_gap(sol, other, 2, PROBES)
+        base_gap = potential_sum_gap(sol, other, 2, PROBES)
         jittered = rescaled(other, 3.7)
-        new_gap, _ = potential_sum_gap(sol, jittered, 2, PROBES)
+        new_gap = potential_sum_gap(sol, jittered, 2, PROBES)
         assert new_gap == pytest.approx(base_gap, abs=1e-12)
 
 
@@ -178,15 +193,17 @@ class TestSupnormConvergence:
         q, mu1, mu2 = base_instance
         fam = make_family(q, mu1, mu2, "kernel_perturbation",
                           {"index_set": [1, 2], "amplitude": 0.0})
-        out = run_supnorm_convergence(base_instance, fam, r_prime=1.5)
-        assert all(gap <= 2e-12 for _, gap in out)
+        rep = run_convergence(base_instance, fam, PROBES, m=2, r_prime=1.5)
+        assert all(row.solved for row in rep.rows)
+        assert all(row.supnorm_gap <= 2e-12 for row in rep.rows)
 
     def test_mollification_ladder(self, base_instance):
         q, mu1, mu2 = base_instance
         fam = make_family(q, mu1, mu2, "marginal_mollification",
                           {"index_set": [2, 4, 8, 16], "bandwidth": 0.5})
-        out = run_supnorm_convergence(base_instance, fam, r_prime=1.8)
-        gaps = [g for _, g in out]
+        rep = run_convergence(base_instance, fam, PROBES, m=2, r_prime=1.8)
+        assert all(row.solved for row in rep.rows)
+        gaps = [row.supnorm_gap for row in rep.rows]
         assert gaps[0] > gaps[-1]
         assert gaps[-1] <= 1e-3
 
@@ -194,7 +211,9 @@ class TestSupnormConvergence:
         q, mu1, mu2 = base_instance
         fam = make_family(q, mu1, mu2, "marginal_mollification",
                           {"index_set": [2, 4], "bandwidth": 0.5})
-        wide = run_supnorm_convergence(base_instance, fam, r_prime=0.95 * 2.0)
-        narrow = run_supnorm_convergence(base_instance, fam, r_prime=0.5 * 2.0)
-        for (_, gw), (_, gn) in zip(wide, narrow):
+        wide = run_convergence(base_instance, fam, PROBES, m=2, r_prime=0.95 * 2.0)
+        narrow = run_convergence(base_instance, fam, PROBES, m=2, r_prime=0.5 * 2.0)
+        assert all(row.solved for row in wide.rows + narrow.rows)
+        for rw, rn in zip(wide.rows, narrow.rows):
+            gw, gn = rw.supnorm_gap, rn.supnorm_gap
             assert gw >= gn - 1e-15
