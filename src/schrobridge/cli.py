@@ -9,6 +9,7 @@ codes: 0 success, 1 validation error, 2 non-convergence.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import math
 import os
 import sys
@@ -40,8 +41,6 @@ from .io import (
 from .moment import zero_noise_continuation
 from .solver import solve_schrodinger
 from .stability import make_family, run_convergence, semiconvexity_constant
-
-STOCHASTIC_COMMANDS = {"bridge", "stability"}
 
 
 def _parse_config_file(path):
@@ -84,6 +83,8 @@ def _resolve_density(spec, grid, base_dir=None):
             raise ValueError("builtin gaussian density needs --grid d,r,n")
         parts = [float(v) for v in spec[len("gaussian:"):].split(",")]
         var = parts[-1]
+        if not 0 < var < math.inf:
+            raise ValueError(f"gaussian variance must be finite and > 0, got {var:g}")
         mean = parts[:-1] or [0.0] * grid.dim
         if len(mean) != grid.dim:
             raise ValueError("gaussian mean dimension does not match the grid")
@@ -226,18 +227,8 @@ def _cmd_bridge(run: _Run):
     write_terminal_csv(run.path("terminal.csv"), ens)
     if keep:
         write_paths_binary(run.path("paths.bin"), ens)
-    write_json(run.path("bridge_diagnostics.json"), {
-        "bl_terminal": diag.bl_terminal,
-        "w2_subsample": diag.w2_subsample,
-        "w2_full_1d": diag.w2_full_1d,
-        "tv_joint": diag.tv_joint,
-        "kl_joint": diag.kl_joint,
-        "tv_joint_err": diag.tv_joint_err,
-        "w2_err": diag.w2_err,
-        "n_paths": diag.n_paths,
-        "bins": diag.bins,
-        "seed": seed,
-    })
+    write_json(run.path("bridge_diagnostics.json"),
+               {**dataclasses.asdict(diag), "seed": seed})
     return 0
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Density, GaussianHeatKernel, Support, entropy
-from .solver import SchroedingerSolution, solve_schrodinger
+from .solver import SchroedingerSolution, plan_matrix, solve_schrodinger
 
 _BALL_VOLUME_COEFF = {1: 2.0, 2: math.pi}
 
@@ -72,7 +72,7 @@ def _kl_plan_vs_heat_product(sol: SchroedingerSolution) -> float:
     sum_i rowmass_i (log nu1_i - log mu1_i)
     + sum_j colmass_j (log nu2_j - log vol_j).
     """
-    plan = np.exp(sol.log_plan())
+    plan = plan_matrix(sol)
     row = plan.sum(axis=1)
     col = plan.sum(axis=0)
     mu1 = sol.mu1.weights
@@ -141,8 +141,7 @@ def second_moment(p: Density) -> float:
     return float(np.sum(p.support.points**2, axis=1) @ w)
 
 
-def free_energy_objective(p: Density, p1: Density, eps, r,
-                          tol=1e-12, max_iters=20000) -> float:
+def free_energy_objective(p: Density, p1: Density, eps, r) -> float:
     """Objective S(P) - eps * V(P, P1) + 0.5 integral |x|^2 dP.
 
     Evaluates the minimized functional at one candidate density supported
@@ -150,7 +149,7 @@ def free_energy_objective(p: Density, p1: Density, eps, r,
     """
     if np.any((p.values > 0) & (p.support.radii() > r * (1 + 1e-9))):
         raise ValueError("candidate density has mass outside B_r")
-    report = control_value(p, p1, eps, tol=tol, max_iters=max_iters)
+    report = control_value(p, p1, eps)
     return entropy(p) - eps * report.value + 0.5 * second_moment(p)
 
 

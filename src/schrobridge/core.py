@@ -208,8 +208,8 @@ class GaussianHeatKernel(KernelSpec):
     eps: float = 1.0
 
     def __post_init__(self):
-        if self.t <= 0 or self.eps <= 0:
-            raise ValueError("heat kernel needs t > 0 and eps > 0")
+        if not (0 < self.t < math.inf and 0 < self.eps < math.inf):
+            raise ValueError("heat kernel needs finite t > 0 and eps > 0")
         if self.source.dim != self.target.dim:
             raise ValueError("source and target dimensions differ")
 
@@ -260,7 +260,7 @@ def _lattice(axis, dim):
     return np.stack([m.ravel() for m in mesh], axis=1)
 
 
-def make_grid(dim, radius, points_per_axis, point_budget=DEFAULT_POINT_BUDGET):
+def make_grid(dim, radius, points_per_axis):
     """Regular midpoint lattice over [-radius, radius]^d clipped to B_radius.
 
     Every retained point carries cell volume (2*radius/points_per_axis)^d,
@@ -268,9 +268,9 @@ def make_grid(dim, radius, points_per_axis, point_budget=DEFAULT_POINT_BUDGET):
     """
     if dim < 1 or radius <= 0 or points_per_axis < 2:
         raise ValueError("need dim >= 1, radius > 0, points_per_axis >= 2")
-    if dim * math.log(points_per_axis) > math.log(point_budget):
-        raise ValueError(
-            f"grid of {points_per_axis}^{dim} points exceeds the point budget {point_budget}")
+    if dim * math.log(points_per_axis) > math.log(DEFAULT_POINT_BUDGET):
+        raise ValueError(f"grid of {points_per_axis}^{dim} points exceeds "
+                         f"the point budget {DEFAULT_POINT_BUDGET}")
     h = 2.0 * radius / points_per_axis
     pts = _lattice(-radius + h * (np.arange(points_per_axis) + 0.5), dim)
     keep = np.linalg.norm(pts, axis=1) <= radius * (1 + 1e-12)

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
+    W2_ORACLE_CAP,
     Density,
     DiscreteMeasure,
     Support,
@@ -227,7 +228,7 @@ class EndpointReport:
 
 
 def endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution, p1: Density,
-                         bins=50, subsample=200, n_bootstrap=20) -> EndpointReport:
+                         bins=50, n_bootstrap=20) -> EndpointReport:
     """Compare simulated endpoints with the target law and the plan.
 
     Terminal law: bounded-Lipschitz distance on the full empirical measure,
@@ -237,16 +238,18 @@ def endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution, p1: Densi
     total variation and relative entropy. Bootstrap standard errors are
     seeded from the ensemble seed.
     """
+    if not bins >= 1:
+        raise ValueError("need bins >= 1")
     rng = np.random.Generator(np.random.Philox(key=ens.seed + 0x9E3779B9))
     target = p1.to_measure().normalized()
     emp = empirical_measure(ens.terminal)
     bl_term = bl_distance(emp, target)
 
-    k = min(subsample, max(2, 400 - min(200, target.support.n_points)))
-    sub = subsample_to_cap(ens.terminal, k, rng)
+    half = W2_ORACLE_CAP // 2
+    sub = subsample_to_cap(ens.terminal, half, rng)
     tgt_small = target
-    if target.support.n_points + sub.support.n_points > 400:
-        tgt_small = subsample_to_cap(target.support.points, 200, rng, target.weights)
+    if target.support.n_points + sub.support.n_points > W2_ORACLE_CAP:
+        tgt_small = subsample_to_cap(target.support.points, half, rng, target.weights)
     w2_sub = w2_distance(sub, tgt_small)
 
     w2_full = None
@@ -280,15 +283,16 @@ def endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution, p1: Densi
         n_paths=ens.n_paths, bins=bins)
 
 
-def initial_chi_square(ens: PathEnsemble, p0: Density, bins=20):
+def initial_chi_square(ens: PathEnsemble, p0: Density):
     """Chi-square statistic of the initial states against P0, with dof.
 
-    Bins the first time slice over the support's bounding box and compares
-    counts with the exact step-density bin probabilities (cells split
-    across bins by overlap). Returns (statistic, degrees_of_freedom).
+    Bins the first time slice, 20 bins per axis over the support's
+    bounding box, and compares counts with the exact step-density bin
+    probabilities (cells split across bins by overlap). Returns
+    (statistic, degrees_of_freedom).
     """
-    radius = p0.support.bounding_radius
-    edges = _bin_edges(radius, bins)
+    bins = 20
+    edges = _bin_edges(p0.support.bounding_radius, bins)
     d = p0.support.dim
     idx = np.zeros(ens.n_paths, dtype=np.int64)
     for axis in range(d):

@@ -193,10 +193,8 @@ def solution_payload(sol):
 def write_plan_csv(path, sol):
     from .solver import plan_matrix
 
-    plan = plan_matrix(sol)
-    rows = [(i, j, plan[i, j])
-            for i in range(plan.shape[0]) for j in range(plan.shape[1])]
-    write_csv(path, ["i", "j", "mass"], rows)
+    write_csv(path, ["i", "j", "mass"],
+              ((i, j, v) for (i, j), v in np.ndenumerate(plan_matrix(sol))))
 
 
 def write_terminal_csv(path, ens):

@@ -17,6 +17,7 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .core import (
+    W2_ORACLE_CAP,
     Density,
     DiscreteMeasure,
     GaussianHeatKernel,
@@ -34,16 +35,20 @@ from .solver import SchroedingerSolution, solve_schrodinger
 
 DEFAULT_DAMPING = 0.5
 DEFAULT_EPS_SCHEDULE = tuple(2.0 ** (-k) for k in range(8))
+INNER_TOL = 1e-12
+INNER_MAX_ITERS = 20000
 
 
 @dataclass(frozen=True)
 class FixedPointTrace:
-    """Iteration record of the fixed point at one noise level."""
+    """Iteration record of the fixed point at one noise level.
+
+    ``objective`` is the free-energy objective of the last solved iterate.
+    """
 
     eps: float
     iterates: tuple
-    objective_values: tuple
-    damping: float
+    objective: float
     converged: bool
     residual: float
     final_solution: SchroedingerSolution
@@ -144,11 +149,10 @@ def uniform_density(support: Support) -> Density:
     return Density(support, v, is_probability=True)
 
 
-def _step(p: Density, p1: Density, kernel: GaussianHeatKernel, inner_tol,
-          inner_max_iters, init_log_nu2=None):
+def _step(p: Density, p1: Density, kernel: GaussianHeatKernel, init_log_nu2=None):
     """One application of the fixed-point map, returning (density, solve)."""
     sol = solve_schrodinger(kernel, p.to_measure(), p1.to_measure(),
-                            tol=inner_tol, max_iters=inner_max_iters,
+                            tol=INNER_TOL, max_iters=INNER_MAX_ITERS,
                             init_log_nu2=init_log_nu2)
     if not sol.converged:
         raise NonConvergenceError(
@@ -159,8 +163,7 @@ def _step(p: Density, p1: Density, kernel: GaussianHeatKernel, inner_tol,
     return out, sol
 
 
-def fixed_point_step(p: Density, p1: Density, eps, r,
-                     inner_tol=1e-12, inner_max_iters=20000) -> Density:
+def fixed_point_step(p: Density, p1: Density, eps, r) -> Density:
     """Apply the map p -> normalize(exp(-eps * u1 - |x|^2 / 2)) on B_r.
 
     u1 is the source potential of the heat-kernel Schrodinger solve with
@@ -172,29 +175,26 @@ def fixed_point_step(p: Density, p1: Density, eps, r,
     if eps <= 0:
         raise ValueError("eps must be positive")
     kernel = GaussianHeatKernel(source=p.support, target=p1.support, t=1.0, eps=eps)
-    out, _ = _step(p, p1, kernel, inner_tol, inner_max_iters)
+    out, _ = _step(p, p1, kernel)
     return out
 
 
 def solve_fixed_point(p1: Density, eps, r, damping=DEFAULT_DAMPING, tol=1e-9,
-                      max_outer=200, init: Density | None = None,
-                      inner_tol=1e-12, inner_max_iters=20000,
-                      recenter=True) -> FixedPointTrace:
+                      max_outer=200, init: Density | None = None) -> FixedPointTrace:
     """Damped fixed-point iteration in log space at one noise level.
 
     Updates log p <- (1 - damping) log p + damping log(step(p)) followed by
     renormalization; convergence is declared when the undamped map moves
     the iterate by at most ``tol`` in sup norm, and the returned final
     iterate is that undamped image. The target is recentered to barycenter
-    zero unless already centered (``recenter=False`` skips the check).
-    The objective value is recorded at every solved iterate.
+    zero unless already centered. The objective is evaluated once, at the
+    iterate of the last solve.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
-    if max_outer < 1:
-        raise ValueError("need max_outer >= 1")
-    if recenter:
-        p1, _ = recentered(p1)
+    if max_outer < 1 or not tol > 0:
+        raise ValueError("need max_outer >= 1 and tol > 0")
+    p1, _ = recentered(p1)
     support = _restrict_to_ball(p1.support, r)
     if init is None:
         p = uniform_density(support)
@@ -207,16 +207,14 @@ def solve_fixed_point(p1: Density, eps, r, damping=DEFAULT_DAMPING, tol=1e-9,
                 "log-space updates; floor it or use damping=1")
         p = init
     iterates = [p]
-    objectives = []
     residual = math.inf
     converged = False
     sol = None
     warm = None
     kernel = GaussianHeatKernel(source=support, target=p1.support, t=1.0, eps=eps)
     for _ in range(max_outer):
-        image, sol = _step(p, p1, kernel, inner_tol, inner_max_iters, warm)
+        image, sol = _step(p, p1, kernel, warm)
         warm = sol.log_nu2
-        objectives.append(objective_from_solution(sol, p, p1, eps))
         residual = float(np.abs(image.values - p.values).max())
         if residual <= tol:
             iterates.append(image)
@@ -228,9 +226,11 @@ def solve_fixed_point(p1: Density, eps, r, damping=DEFAULT_DAMPING, tol=1e-9,
         log_mix -= logsumexp(log_mix + np.log(support.cell_volumes))
         p = Density(support, np.exp(log_mix), is_probability=True)
         iterates.append(p)
+    # Either way the last solve ran at iterates[-2]: the image or the
+    # damped mix was appended after it.
     return FixedPointTrace(
         eps=float(eps), iterates=tuple(iterates),
-        objective_values=tuple(objectives), damping=float(damping),
+        objective=objective_from_solution(sol, iterates[-2], p1, eps),
         converged=converged, residual=residual, final_solution=sol)
 
 
@@ -259,8 +259,7 @@ def jensen_gap(trace: FixedPointTrace) -> float:
     return float(profile @ p1w / p1w.sum()) - at_y0
 
 
-def verify_moment_measure(u_bar, support: Support, p1: Density,
-                          w2_cap=400, seed=0):
+def verify_moment_measure(u_bar, support: Support, p1: Density):
     """Check that grad(u) pushes exp(-u) dx onto the target law.
 
     Forms the discrete pushforward with atoms at the lattice gradient of
@@ -269,7 +268,7 @@ def verify_moment_measure(u_bar, support: Support, p1: Density,
     distance of the pushforward to the target, and the gap between the
     squared transport cost of the coupling (x, grad u(x)) and the exact
     squared Wasserstein distance from exp(-u) dx to the target (computed
-    on a seeded subsample when the supports exceed the oracle cap). The
+    on a subsample, seeded with key 0, beyond the oracle cap). The
     gap must be nonnegative up to discretization and shrink under grid
     refinement.
     """
@@ -290,18 +289,16 @@ def verify_moment_measure(u_bar, support: Support, p1: Density,
     if support.dim == 1:
         w2 = w2_distance_1d(rho, target)
     else:
-        rng = np.random.Generator(np.random.Philox(key=seed))
-        half = w2_cap // 2
+        rng = np.random.Generator(np.random.Philox(key=0))
+        half = W2_ORACLE_CAP // 2
         w2 = w2_distance(subsample_to_cap(rho.support.points, half, rng, rho.weights),
-                         subsample_to_cap(target.support.points, half, rng, target.weights),
-                         cap=w2_cap)
+                         subsample_to_cap(target.support.points, half, rng, target.weights))
     return pushforward_error, coupling_cost - w2 * w2
 
 
 def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
-                            tol=1e-9, damping=DEFAULT_DAMPING, max_outer=200,
-                            inner_tol=1e-12, inner_max_iters=20000,
-                            keep_traces=True) -> MomentMeasureResult:
+                            tol=1e-9, damping=DEFAULT_DAMPING,
+                            max_outer=200) -> MomentMeasureResult:
     """Drive the fixed point along a decreasing noise schedule.
 
     The target is recentered once (shift reported); each level warm-starts
@@ -324,10 +321,8 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
     prev = None
     for eps in eps_schedule:
         try:
-            trace = solve_fixed_point(
-                p1c, eps, r, damping=damping, tol=tol, max_outer=max_outer,
-                init=prev, inner_tol=inner_tol, inner_max_iters=inner_max_iters,
-                recenter=False)
+            trace = solve_fixed_point(p1c, eps, r, damping=damping, tol=tol,
+                                      max_outer=max_outer, init=prev)
             if not trace.converged:
                 raise NonConvergenceError(
                     f"fixed point did not converge at eps={eps:g} "
@@ -344,7 +339,7 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
         rows.append({
             "eps": eps,
             "residual": trace.residual,
-            "objective": trace.objective_values[-1],
+            "objective": trace.objective,
             "bl_drift": drift_bl,
             "convexity_defect": check_convexity(u_eps, p_eps.support),
             "pushforward_error": push_err,
@@ -360,5 +355,4 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
         pushforward_error=pushforward_error,
         convexity_defect=check_convexity(u_bar, p0.support),
         w2_check=w2_check, recenter_shift=shift,
-        diagnostics=tuple(rows),
-        traces=tuple(traces) if keep_traces else ())
+        diagnostics=tuple(rows), traces=tuple(traces))

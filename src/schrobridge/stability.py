@@ -44,9 +44,7 @@ def _smooth_wiggle(source, target):
 class PerturbationFamily:
     """Materialized perturbed instances q_n, mu1_n, mu2_n indexed by n."""
 
-    kind: str
     index_set: tuple
-    params: dict
     kernels: tuple
     mu1s: tuple
     mu2s: tuple
@@ -128,10 +126,8 @@ def make_family(base_q: KernelSpec, base_mu1: DiscreteMeasure,
     else:
         raise ValueError(f"unknown family kind {kind!r}")
     return PerturbationFamily(
-        kind=kind, index_set=index_set,
-        params={"amplitude": amplitude, "bandwidth": bandwidth, "seed": seed},
-        kernels=tuple(kernels), mu1s=tuple(mu1s), mu2s=tuple(mu2s),
-        kernel_sup_gaps=tuple(gaps))
+        index_set=index_set, kernels=tuple(kernels), mu1s=tuple(mu1s),
+        mu2s=tuple(mu2s), kernel_sup_gaps=tuple(gaps))
 
 
 @dataclass(frozen=True)
@@ -147,8 +143,6 @@ class ConvergenceRow:
 @dataclass(frozen=True)
 class ConvergenceReport:
     rows: tuple
-    probes: tuple
-    m: int
 
     def trend(self, metric):
         """(first, last, last/first) over solved rows for one metric."""
@@ -219,6 +213,8 @@ def run_convergence(base, fam: PerturbationFamily, probes, m,
     family member shares. A member whose solve stalls or is rejected
     (NonConvergenceError, ValueError) is recorded as an unsolved row.
     """
+    if len(probes) == 0:
+        raise ValueError("need at least one probe pair")
     q, mu1, mu2 = base
     base_sol = solve_schrodinger(q, mu1, mu2, tol=tol, max_iters=max_iters)
     base_plan = plan_matrix(base_sol)
@@ -244,7 +240,7 @@ def run_convergence(base, fam: PerturbationFamily, probes, m,
             base_sol, sol, m, probes, moving_shift=(probe_shift / n) * shift_dir)
         sup_gap = _supnorm_gap(base_sol, sol, r_prime) if r_prime is not None else math.nan
         rows.append(ConvergenceRow(n, plan_gap, product_gap, sum_gap, sup_gap, True))
-    return ConvergenceReport(rows=tuple(rows), probes=tuple(probes), m=m)
+    return ConvergenceReport(rows=tuple(rows))
 
 
 def semiconvexity_constant(q: KernelSpec, r) -> float:

@@ -143,7 +143,7 @@ def test_acceptance_04_product_identity():
         sol = solve_schrodinger(q, mu1, mu2, tol=1e-13, max_iters=50000)
         n, m = mu1.support.n_points, mu2.support.n_points
         pairs = [(int(rng.integers(n)), int(rng.integers(m))) for _ in range(20)]
-        rep = check_product_identity(sol, 3, pairs, rel_tol=1e-8)
+        rep = check_product_identity(sol, 3, pairs)
         worst_rel = max(worst_rel, rep.worst_slack)
         prev = None
         for level in (1, 2, 3):

@@ -296,3 +296,32 @@ class TestCliStability:
         with open(out / "stability_summary.json") as fh:
             summary = json.load(fh)
         assert summary["semiconvexity_constant"] == pytest.approx(0.5)
+
+
+_GRID = ["--grid", "1,2,21"]
+_BRIDGE = "p0 = gaussian:0,0.5\np1 = gaussian:0,1\neps = 0.5\nn_paths = 20\nn_steps = 2\n"
+
+
+@pytest.mark.parametrize("command, config, flags, message", [
+    ("solve", "mu1 = gaussian:0,-1\nmu2 = gaussian:0,1\nkernel = gaussian:1\n",
+     _GRID, "variance must be finite and > 0"),
+    ("solve", "mu1 = gaussian:0,0\nmu2 = gaussian:0,1\nkernel = gaussian:1\n",
+     _GRID, "variance must be finite and > 0"),
+    ("bridge", _BRIDGE + "bins = 0\n", _GRID + ["--seed", "1"], "bins >= 1"),
+    ("moment", "p1 = gaussian:0,1\nr = 2.0\ntol = 0\n", _GRID, "tol > 0"),
+    ("moment", "p1 = gaussian:0,1\nr = 2.0\ntol = -1\n", _GRID, "tol > 0"),
+    ("solve", "mu1 = gaussian:0,1\nmu2 = gaussian:0,1\nkernel = gaussian:1\n",
+     _GRID + ["--tol", "nan"], "tol > 0"),
+    ("solve", "mu1 = gaussian:0,1\nmu2 = gaussian:0,1\nkernel = gaussian:1\n",
+     _GRID + ["--eps", "nan"], "eps > 0"),
+    ("stability", "mu1 = gaussian:0,1\nmu2 = gaussian:0,1\n"
+     "family = kernel_perturbation\nindex_set = 2\nn_probes = 0\n",
+     _GRID + ["--seed", "1"], "at least one probe"),
+], ids=["negative_variance", "zero_variance", "zero_bins", "moment_tol_zero",
+        "moment_tol_negative", "solve_tol_nan", "solve_eps_nan", "no_probes"])
+def test_bad_scalar_parameter_exits_1(tmp_path, capsys, command, config, flags, message):
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(config)
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
+                 *flags]) == 1
+    assert message in capsys.readouterr().err

@@ -14,6 +14,7 @@ from schrobridge import (
     verify_moment_measure,
     zero_noise_continuation,
 )
+from schrobridge.control import objective_from_solution
 from schrobridge.moment import (
     jensen_gap,
     lattice_gradient,
@@ -65,7 +66,7 @@ class TestSolveFixedPoint:
         trace = solve_fixed_point(std_normal, 0.5, 4.0, tol=1e-9)
         assert trace.converged
         bound = free_energy_upper_bound(std_normal, 0.5, 4.0, support=grid_r4)
-        assert trace.objective_values[-1] <= bound
+        assert trace.objective <= bound
 
     def test_two_initializations_agree(self, grid_r4, std_normal):
         a = solve_fixed_point(std_normal, 0.5, 4.0, tol=1e-9)
@@ -82,6 +83,17 @@ class TestSolveFixedPoint:
     def test_non_convergence_is_flagged(self, grid_r4, std_normal):
         trace = solve_fixed_point(std_normal, 1.0, 4.0, tol=1e-12, max_outer=2)
         assert not trace.converged
+
+    def test_objective_of_last_solved_iterate(self, grid_r4, std_normal):
+        # Two damped steps: iterates are (uniform, mix 1, mix 2), and the
+        # last solve ran at mix 1, not at the returned mix 2.
+        trace = solve_fixed_point(std_normal, 1.0, 4.0, tol=1e-12, max_outer=2)
+        assert not trace.converged and len(trace.iterates) == 3
+        last_solved = trace.iterates[1]
+        assert trace.objective == objective_from_solution(
+            trace.final_solution, last_solved, std_normal, 1.0)
+        assert trace.objective != objective_from_solution(
+            trace.final_solution, trace.final, std_normal, 1.0)
 
     def test_jensen_inequality_each_level(self, grid_r4, std_normal):
         trace = solve_fixed_point(std_normal, 0.5, 4.0, tol=1e-9)
@@ -220,3 +232,10 @@ class TestCheckConvexity:
         # truncation at the grid edge skews the quadrature barycenter slightly
         assert shift[0] == pytest.approx(0.7, abs=0.01)
         assert abs(q.barycenter()[0]) <= 1e-12
+
+    def test_recentering_is_idempotent(self):
+        g = make_grid(1, 3.0, 61)
+        q, _ = recentered(gaussian_density(g, 0.5, mean=0.3))
+        again, shift = recentered(q)
+        assert again is q
+        assert np.all(shift == 0.0)
