@@ -217,13 +217,15 @@ def _cmd_bridge(run: _Run):
     n_paths = run.get_int("n_paths", 10000)
     n_steps = run.get_int("n_steps", 200)
     keep = run.cfg.get("full_paths", "false").lower() == "true"
+    bins = run.get_int("bins", 50)
+    if not bins >= 1:
+        raise ValueError("need bins >= 1")
     rep = control_value(p0, p1, eps, tol=run.get_float("tol", 1e-12))
     if not rep.converged:
         raise NonConvergenceError("endpoint system did not converge")
     ens = simulate(p0, rep.solution, eps, n_paths, n_steps, seed,
                    keep_full_paths=keep)
-    diag = endpoint_diagnostics(ens, rep.solution, p1,
-                                bins=run.get_int("bins", 50))
+    diag = endpoint_diagnostics(ens, rep.solution, p1, bins=bins)
     write_terminal_csv(run.path("terminal.csv"), ens)
     if keep:
         write_paths_binary(run.path("paths.bin"), ens)
@@ -293,7 +295,7 @@ def _cmd_stability(run: _Run):
                int(rng.integers(mu2.support.n_points))) for _ in range(n_probe)]
     m = run.get_int("m", int(math.ceil(max(mu1.support.bounding_radius,
                                            mu2.support.bounding_radius))))
-    r_prime = run.get_float("r_prime", 0.0) or None
+    r_prime = run.get_float("r_prime") if "r_prime" in run.cfg else None
     report = run_convergence((kernel, mu1, mu2), fam, probes, m,
                              tol=run.get_float("tol", 1e-12), r_prime=r_prime)
     write_csv(run.path("stability.csv"),

@@ -1,4 +1,4 @@
-"""Log-domain iterative proportional fitting for the Schrodinger system.
+"""Stabilized iterative proportional fitting for the Schrodinger system.
 
 Given a strictly positive kernel q and probability marginals mu1, mu2 on
 finite supports, finds nonnegative measures nu1, nu2 with
@@ -31,6 +31,10 @@ from .core import (
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 5000
+# A scaling outside this range is absorbed into the log potentials.
+SCALING_BOUNDS = (1e-100, 1e100)
+_RANGE_MESSAGE = ("factor masses beyond the float64 range: the kernel is too sharp "
+                  "(eps too small) for these marginals")
 
 
 @dataclass(frozen=True)
@@ -89,6 +93,33 @@ def _hat(radii, m):
     return np.clip(m + 1.0 - radii, 0.0, 1.0)
 
 
+def _refit(logk, pot, w, axis, kt):
+    """Log-domain half-sweep: fit the marginal weights `w` against `pot`.
+
+    Returns the fitted log potential log(w) - log sum_axis exp(logk + pot)
+    and leaves in `kt` the kernel with both potentials absorbed, whose sums
+    along `axis` are w. Raises ValueError when a potential is not finite.
+    """
+    def other(v):
+        return v[:, None] if axis == 1 else v[None, :]
+
+    np.add(logk, pot[None, :] if axis == 1 else pot[:, None], out=kt)
+    mx = kt.max(axis=axis)
+    np.subtract(kt, other(mx), out=kt)
+    np.exp(kt, out=kt)
+    sums = kt.sum(axis=axis)
+    with np.errstate(divide="ignore"):
+        fitted = np.log(w) - (mx + np.log(sums))
+    if np.isnan(fitted).any() or np.isinf(fitted[w > 0]).any():
+        raise ValueError(_RANGE_MESSAGE)
+    kt *= other(w / sums)
+    return fitted
+
+
+def _in_range(s):
+    return SCALING_BOUNDS[0] <= s.min() and s.max() <= SCALING_BOUNDS[1]
+
+
 def solve_schrodinger(
     q: KernelSpec,
     mu1: DiscreteMeasure,
@@ -99,12 +130,18 @@ def solve_schrodinger(
 ) -> SchroedingerSolution:
     """Solve the Schrodinger system by alternating marginal fitting.
 
-    Sweeps run in the log domain with logsumexp reductions. Stops when
-    the larger of the two marginal total-variation defects drops to ``tol``;
-    if the sweep budget runs out the best iterate is returned flagged
-    non-converged. Zero-mass marginal points receive zero factor weight.
-    Raises ValueError when the factor masses leave the float64 range, as
-    for heat kernels at too small an eps.
+    Stabilized scaling (Schmitzer, arXiv:1610.06519): the log factors are
+    kept as a = alpha + log s1 and b = beta + log s2, and each half-sweep
+    is one matvec of a scaling against the kernel with the log potentials
+    absorbed, kt = exp(logk + alpha (+) beta). When a scaling leaves
+    SCALING_BOUNDS (also when a matvec entry underflowed to zero), the
+    scalings are absorbed and that half-sweep is redone in the log domain,
+    which rebuilds kt; the first half-sweep is done that way too. Stops
+    when the marginal total-variation defect of mu1 drops to ``tol``; if
+    the sweep budget runs out the last iterate is returned flagged
+    non-converged. Zero-mass marginal points receive zero factor weight:
+    their rows and columns of kt are 0. Raises ValueError when the factor
+    masses leave the float64 range, as for heat kernels at too small an eps.
     """
     if not (mu1.is_probability and mu2.is_probability):
         raise ValueError("marginals must be probability measures")
@@ -113,36 +150,51 @@ def solve_schrodinger(
     if max_iters < 1 or not tol > 0:
         raise ValueError("need max_iters >= 1 and tol > 0")
     logk = log_eval_kernel(q)
-    with np.errstate(divide="ignore"):
-        logmu1 = np.log(mu1.weights)
-        logmu2 = np.log(mu2.weights)
-
+    w1, w2 = mu1.weights, mu2.weights
+    pos1, pos2 = w1 > 0, w2 > 0
     if init_log_nu2 is None:
         b = np.zeros(mu2.support.n_points)
     else:
-        b = np.asarray(init_log_nu2, dtype=float).copy()
+        b = np.asarray(init_log_nu2, dtype=float)
 
-    buf = np.empty_like(logk)
+    kt = np.empty_like(logk)
+    # the first half-sweep, absorbed (rows of kt sum to mu1 before the
+    # zero-mass columns are cleared)
+    alpha = _refit(logk, b, w1, 1, kt)
+    beta = np.where(pos2, b, -np.inf)
+    kt[:, ~pos2] = 0.0
+    s1 = np.ones(mu1.support.n_points)
+    s2 = np.ones(mu2.support.n_points)
+    # w / c overflows or divides by 0 only where the range check redoes the
+    # half-sweep; the NaN potentials of zero-mass points are replaced below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        for iterations in range(1, max_iters + 1):
+            c2 = kt.T @ s1
+            np.divide(w2, c2, out=s2, where=pos2)
+            if not _in_range(s2):
+                alpha += np.log(s1)
+                beta = _refit(logk, alpha, w2, 0, kt)
+                s1[:] = s2[:] = 1.0
+                c2 = w2  # the column sums of the rebuilt kt
+            c1 = kt @ s2
+            residual = tv_distance(s1 * c1, w1)
+            if residual <= tol or iterations == max_iters:
+                break
+            np.divide(w1, c1, out=s1, where=pos1)
+            if not _in_range(s1):
+                beta += np.log(s2)
+                alpha = _refit(logk, beta, w1, 1, kt)
+                s1[:] = s2[:] = 1.0
 
-    def lse(vec, axis):
-        # logsumexp of logk + vec broadcast along `axis`, reusing one buffer
-        np.add(logk, vec[None, :] if axis == 1 else vec[:, None], out=buf)
-        mx = buf.max(axis=axis)
-        np.subtract(buf, mx[:, None] if axis == 1 else mx[None, :], out=buf)
-        np.exp(buf, out=buf)
-        return mx + np.log(buf.sum(axis=axis))
-
-    u1 = lse(b, 1)
-    residual = math.inf
-    iterations = 0
-    for iterations in range(1, max_iters + 1):
-        a = logmu1 - u1
-        u2 = lse(a, 0)
-        b = logmu2 - u2
-        u1 = lse(b, 1)
-        residual = tv_distance(np.exp(a + u1), mu1.weights)
-        if residual <= tol:
-            break
+        a = alpha + np.log(s1)
+        b = beta + np.log(s2)
+        u1 = np.log(c1) - alpha
+        u2 = np.log(c2) - beta
+    # zero-mass points have zero rows or columns in kt: their potentials in the log domain
+    if not pos1.all():
+        u1[~pos1] = logsumexp(logk[~pos1] + b[None, :], axis=1)
+    if not pos2.all():
+        u2[~pos2] = logsumexp(logk[:, ~pos2] + a[:, None], axis=0)
 
     # Compact-support normalization: the exhaustion of a compact support
     # starts at the support itself, so equalize total masses.
@@ -150,9 +202,7 @@ def solve_schrodinger(
         t1 = float(np.exp(a).sum())
         t2 = float(np.exp(b).sum())
     if not (0.0 < t1 < math.inf and 0.0 < t2 < math.inf):
-        raise ValueError(
-            "factor masses beyond the float64 range: the kernel is too sharp "
-            "(eps too small) for these marginals")
+        raise ValueError(_RANGE_MESSAGE)
     scale_c = math.sqrt(t2 / t1)
     log_c = 0.5 * (math.log(t2) - math.log(t1))
     a = a + log_c

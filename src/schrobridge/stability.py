@@ -189,12 +189,10 @@ def potential_sum_gap(sol_a: SchroedingerSolution, sol_b: SchroedingerSolution,
     return sum_gap
 
 
-def _supnorm_gap(sol_a, sol_b, r_prime):
-    in_s = sol_a.mu1.support.radii() <= r_prime * (1 + 1e-12)
-    in_t = sol_a.mu2.support.radii() <= r_prime * (1 + 1e-12)
-    gap1 = float(np.abs(sol_b.u1 - sol_a.u1)[in_s].max()) if in_s.any() else math.nan
-    gap2 = float(np.abs(sol_b.u2 - sol_a.u2)[in_t].max()) if in_t.any() else math.nan
-    return gap1 + gap2
+def _supnorm_gap(sol_a, sol_b, in_s, in_t):
+    """Summed sup-norm potential gap over the ball masks in_s, in_t."""
+    return (float(np.abs(sol_b.u1 - sol_a.u1)[in_s].max())
+            + float(np.abs(sol_b.u2 - sol_a.u2)[in_t].max()))
 
 
 def run_convergence(base, fam: PerturbationFamily, probes, m,
@@ -212,10 +210,18 @@ def run_convergence(base, fam: PerturbationFamily, probes, m,
     compared as (n, m) weight matrices on the base supports, which every
     family member shares. A member whose solve stalls or is rejected
     (NonConvergenceError, ValueError) is recorded as an unsolved row.
+    Raises ValueError unless r_prime (when given) is finite and > 0 and
+    its ball holds a point of each support.
     """
     if len(probes) == 0:
         raise ValueError("need at least one probe pair")
     q, mu1, mu2 = base
+    if r_prime is not None:
+        in_s = mu1.support.radii() <= r_prime * (1 + 1e-12)
+        in_t = mu2.support.radii() <= r_prime * (1 + 1e-12)
+        if not (0 < r_prime < math.inf and in_s.any() and in_t.any()):
+            raise ValueError("need a finite r_prime > 0 whose ball holds a point "
+                             "of each support")
     base_sol = solve_schrodinger(q, mu1, mu2, tol=tol, max_iters=max_iters)
     base_plan = plan_matrix(base_sol)
     base_product = np.outer(base_sol.nu1.weights, base_sol.nu2.weights)
@@ -238,7 +244,7 @@ def run_convergence(base, fam: PerturbationFamily, probes, m,
             source, target, np.outer(sol.nu1.weights, sol.nu2.weights), base_product)
         sum_gap = potential_sum_gap(
             base_sol, sol, m, probes, moving_shift=(probe_shift / n) * shift_dir)
-        sup_gap = _supnorm_gap(base_sol, sol, r_prime) if r_prime is not None else math.nan
+        sup_gap = math.nan if r_prime is None else _supnorm_gap(base_sol, sol, in_s, in_t)
         rows.append(ConvergenceRow(n, plan_gap, product_gap, sum_gap, sup_gap, True))
     return ConvergenceReport(rows=tuple(rows))
 

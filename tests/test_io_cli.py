@@ -317,11 +317,31 @@ _BRIDGE = "p0 = gaussian:0,0.5\np1 = gaussian:0,1\neps = 0.5\nn_paths = 20\nn_st
     ("stability", "mu1 = gaussian:0,1\nmu2 = gaussian:0,1\n"
      "family = kernel_perturbation\nindex_set = 2\nn_probes = 0\n",
      _GRID + ["--seed", "1"], "at least one probe"),
+    ("stability", "mu1 = gaussian:0,1\nmu2 = gaussian:0,1\n"
+     "family = kernel_perturbation\nindex_set = 2\nr_prime = nan\n",
+     ["--grid", "1,2,20", "--seed", "1"], "finite r_prime > 0"),
+    ("stability", "mu1 = gaussian:0,1\nmu2 = gaussian:0,1\n"
+     "family = kernel_perturbation\nindex_set = 2\nr_prime = 0.01\n",
+     ["--grid", "1,2,20", "--seed", "1"], "finite r_prime > 0"),
+    ("stability", "mu1 = gaussian:0,1\nmu2 = gaussian:0,1\n"
+     "family = kernel_perturbation\nindex_set = 2\nr_prime = 0\n",
+     _GRID + ["--seed", "1"], "finite r_prime > 0"),
 ], ids=["negative_variance", "zero_variance", "zero_bins", "moment_tol_zero",
-        "moment_tol_negative", "solve_tol_nan", "solve_eps_nan", "no_probes"])
-def test_bad_scalar_parameter_exits_1(tmp_path, capsys, command, config, flags, message):
+        "moment_tol_negative", "solve_tol_nan", "solve_eps_nan", "no_probes",
+        "r_prime_nan", "r_prime_empty_ball", "r_prime_zero"])
+def test_bad_scalar_parameter_exits_1(tmp_path, capsys, monkeypatch, command, config,
+                                      flags, message):
+    # every case is rejected before any path is simulated
+    simulated = []
+
+    def no_simulation(*args, **kwargs):
+        simulated.append(args)
+        raise AssertionError("simulate ran on a rejected parameter")
+
+    monkeypatch.setattr("schrobridge.cli.simulate", no_simulation)
     cfg = tmp_path / "c.cfg"
     cfg.write_text(config)
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o"),
                  *flags]) == 1
     assert message in capsys.readouterr().err
+    assert not simulated

@@ -1,7 +1,10 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from schrobridge import (
     DenseKernel,
@@ -16,7 +19,8 @@ from schrobridge import (
     solve_schrodinger,
     truncated_potentials,
 )
-from schrobridge.solver import plan_matrix
+from schrobridge.core import tv_distance
+from schrobridge.solver import _refit, plan_matrix
 from conftest import random_instance
 
 
@@ -49,6 +53,55 @@ def plain_domain_solve(q, mu1, mu2, tol, max_iters=5000):
     return nu1 * c, np.log(k @ nu2) - math.log(c)
 
 
+def lse_reference_solve(q, mu1, mu2, tol=1e-10, max_iters=5000, init_log_nu2=None):
+    """Reference: the log-sum-exp sweep the solver used before stabilized scaling.
+
+    Same start, sweep order, stopping rule, exit state and equal-mass gauge;
+    every half-sweep is a full logsumexp over the kernel matrix.
+    """
+    logk = log_eval_kernel(q)
+    with np.errstate(divide="ignore"):
+        logmu1 = np.log(mu1.weights)
+        logmu2 = np.log(mu2.weights)
+
+    if init_log_nu2 is None:
+        b = np.zeros(mu2.support.n_points)
+    else:
+        b = np.asarray(init_log_nu2, dtype=float).copy()
+
+    buf = np.empty_like(logk)
+
+    def lse(vec, axis):
+        # logsumexp of logk + vec broadcast along `axis`, reusing one buffer
+        np.add(logk, vec[None, :] if axis == 1 else vec[:, None], out=buf)
+        mx = buf.max(axis=axis)
+        np.subtract(buf, mx[:, None] if axis == 1 else mx[None, :], out=buf)
+        np.exp(buf, out=buf)
+        return mx + np.log(buf.sum(axis=axis))
+
+    u1 = lse(b, 1)
+    residual = math.inf
+    iterations = 0
+    for iterations in range(1, max_iters + 1):
+        a = logmu1 - u1
+        u2 = lse(a, 0)
+        b = logmu2 - u2
+        u1 = lse(b, 1)
+        residual = tv_distance(np.exp(a + u1), mu1.weights)
+        if residual <= tol:
+            break
+
+    with np.errstate(over="ignore"):
+        t1 = float(np.exp(a).sum())
+        t2 = float(np.exp(b).sum())
+    if not (0.0 < t1 < math.inf and 0.0 < t2 < math.inf):
+        raise ValueError("factor masses beyond the float64 range")
+    log_c = 0.5 * (math.log(t2) - math.log(t1))
+    return SimpleNamespace(log_nu1=a + log_c, log_nu2=b - log_c, u1=u1 - log_c,
+                           u2=u2 + log_c, iterations=iterations,
+                           converged=residual <= tol)
+
+
 class TestSolve:
     def test_factor_mass_overflow_named(self):
         g = make_grid(1, 4.0, 41)
@@ -58,6 +111,22 @@ class TestSolve:
         q = GaussianHeatKernel(source=g, target=g, eps=0.001)
         with pytest.raises(ValueError, match="factor masses beyond the float64 range"):
             solve_schrodinger(q, uniform, gauss, max_iters=1000)
+
+    def test_factor_mass_overflow_named_with_zero_mass_points(self):
+        # uniform to N(0, 1) at eps = 0.005, with 10 zero-mass source points
+        # and 7 zero-mass target points: scalings leave their range and are
+        # absorbed on the way, the factor masses leave the float64 range, and
+        # the solve must stop with the same error as the log-sum-exp sweep
+        g = make_grid(1, 4.0, 151)
+        w1 = np.ones(151)
+        w1[:10] = 0.0
+        w2 = np.exp(-g.points[:, 0] ** 2 / 2)
+        w2[-7:] = 0.0
+        mu1 = DiscreteMeasure(g, w1 / w1.sum(), is_probability=True)
+        mu2 = DiscreteMeasure(g, w2 / w2.sum(), is_probability=True)
+        q = GaussianHeatKernel(source=g, target=g, eps=0.005)
+        with pytest.raises(ValueError, match="factor masses beyond the float64 range"):
+            solve_schrodinger(q, mu1, mu2, max_iters=1000)
 
     def test_symmetric_2x2_closed_form(self, q2x2, mu_half):
         sol = solve_schrodinger(q2x2, mu_half, mu_half, tol=1e-14)
@@ -150,6 +219,79 @@ class TestSolve:
         assert np.allclose(swapped.nu2.weights, sol.nu1.weights, atol=1e-11)
         assert np.allclose(plan_matrix(swapped), plan_matrix(sol).T, atol=1e-11)
         assert np.allclose(swapped.u1, sol.u2, atol=1e-11)
+
+
+@st.composite
+def _scaling_instances(draw):
+    """1-D instances with some zero-mass points, cold or warm started."""
+    n = draw(st.integers(5, 60))
+    radius = draw(st.sampled_from([1.0, 2.0, 4.0]))
+    eps = 10.0 ** draw(st.floats(-2.0, math.log10(2.0)))
+    g = make_grid(1, radius, n)
+    weights = []
+    for _ in range(2):
+        w = np.array(draw(st.lists(st.floats(0.05, 1.0), min_size=n, max_size=n)))
+        w[sorted(draw(st.sets(st.integers(0, n - 1), max_size=n // 3)))] = 0.0
+        weights.append(DiscreteMeasure(g, w / w.sum(), is_probability=True))
+    init = None
+    if draw(st.booleans()):
+        init = np.array(draw(st.lists(st.floats(-5.0, 5.0), min_size=n, max_size=n)))
+        init[weights[1].weights == 0] = -np.inf
+    return GaussianHeatKernel(source=g, target=g, eps=eps), *weights, init
+
+
+def _underflow_instance(n, radius, eps):
+    g = make_grid(1, radius, n)
+    x = g.points[:, 0]
+    w1 = np.exp(-(x - 0.5) ** 2)
+    w1[::7] = 0.0
+    w2 = np.exp(-(x + 0.5) ** 2)
+    w2[3::11] = 0.0
+    return (GaussianHeatKernel(source=g, target=g, eps=eps),
+            DiscreteMeasure(g, w1 / w1.sum(), is_probability=True),
+            DiscreteMeasure(g, w2 / w2.sum(), is_probability=True), None)
+
+
+def _assert_matches_lse_reference(q, mu1, mu2, init, max_iters=2000):
+    try:
+        ref = lse_reference_solve(q, mu1, mu2, max_iters=max_iters, init_log_nu2=init)
+    except ValueError:
+        with pytest.raises(ValueError, match="factor masses beyond the float64 range"):
+            solve_schrodinger(q, mu1, mu2, max_iters=max_iters, init_log_nu2=init)
+        return
+    sol = solve_schrodinger(q, mu1, mu2, max_iters=max_iters, init_log_nu2=init)
+    assert sol.converged == ref.converged
+    assert abs(sol.iterations - ref.iterations) <= 1
+    logk = log_eval_kernel(q)
+    ref_plan = np.exp(ref.log_nu1[:, None] + logk + ref.log_nu2[None, :])
+    assert np.abs(plan_matrix(sol) - ref_plan).max() <= 1e-12
+    assert np.abs((sol.u1[:, None] + sol.u2[None, :])
+                  - (ref.u1[:, None] + ref.u2[None, :])).max() <= 1e-10
+
+
+@settings(derandomize=True, max_examples=40, deadline=None)
+@given(_scaling_instances())
+# exp(logk) underflows at eps = 0.01 on a radius-4 grid: scalings are absorbed
+@example(_underflow_instance(60, 4.0, 0.01))
+def test_stabilized_scaling_matches_lse_reference(instance):
+    _assert_matches_lse_reference(*instance)
+
+
+def test_absorption_paths_match_lse_reference(monkeypatch):
+    # at eps = 0.003 both scalings leave SCALING_BOUNDS on the way, so each
+    # half-sweep is redone in the log domain at least once after the first
+    q, mu1, mu2, _ = _underflow_instance(30, 2.0, 0.003)
+    sweeps, refits = [], []
+    monkeypatch.setattr("schrobridge.solver.tv_distance",
+                        lambda *args: sweeps.append(1) or tv_distance(*args))
+    monkeypatch.setattr("schrobridge.solver._refit",
+                        lambda *args: refits.append((args[3], len(sweeps))) or _refit(*args))
+    assert solve_schrodinger(q, mu1, mu2, max_iters=3000).converged
+    assert {axis for axis, _ in refits[1:]} == {0, 1}
+    _assert_matches_lse_reference(q, mu1, mu2, None, max_iters=3000)
+    # a solve that stops in the sweep whose first half was redone
+    stop = next(done for axis, done in refits[1:] if axis == 0) + 1
+    _assert_matches_lse_reference(q, mu1, mu2, None, max_iters=stop)
 
 
 class TestGaugeInvariance:
