@@ -19,10 +19,8 @@ from .core import (
     NonConvergenceError,
     OracleTooLargeError,
     Support,
-    UnderflowWarning,
     bl_distance,
     entropy,
-    eval_kernel,
     log_eval_kernel,
     make_grid,
     product_bl_distance,

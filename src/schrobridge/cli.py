@@ -109,6 +109,10 @@ def _resolve_kernel(spec, source, target, eps, base_dir=None):
     return load_kernel_csv(path, source, target), [path]
 
 
+def _floats(text):
+    return [float(v) for v in text.split(",")]
+
+
 class _Run:
     """Collects parameters, inputs, and artifacts for one command."""
 
@@ -136,24 +140,17 @@ class _Run:
             d, r, n = self.cfg["grid"].split(",")
             self.grid = make_grid(int(d), float(r), int(n))
 
-    def need(self, key):
-        if key not in self.cfg:
-            raise ValueError(f"missing required parameter: {key}")
-        return self.cfg[key]
-
-    def get_float(self, key, default=None):
+    def get(self, key, cast=str, default=None):
+        """``cast`` of the config value, else ``default``; required when that is None."""
         if key in self.cfg:
-            return float(self.cfg[key])
+            return cast(self.cfg[key])
         if default is None:
             raise ValueError(f"missing required parameter: {key}")
         return default
 
-    def get_int(self, key, default=None):
-        if key in self.cfg:
-            return int(self.cfg[key])
-        if default is None:
-            raise ValueError(f"missing required parameter: {key}")
-        return default
+    def given(self, **casts):
+        """Keyword arguments for the keys the config sets; the library defaults the rest."""
+        return {key: cast(self.cfg[key]) for key, cast in casts.items() if key in self.cfg}
 
     def seed(self):
         if "seed" not in self.cfg:
@@ -170,17 +167,15 @@ class _Run:
 
 
 def _cmd_solve(run: _Run):
-    mu1, in1 = _resolve_measure(run.need("mu1"), run.grid, run.config_dir)
-    mu2, in2 = _resolve_measure(run.need("mu2"), run.grid, run.config_dir)
+    mu1, in1 = _resolve_measure(run.get("mu1"), run.grid, run.config_dir)
+    mu2, in2 = _resolve_measure(run.get("mu2"), run.grid, run.config_dir)
     run.inputs += in1 + in2
-    eps = run.get_float("eps", 1.0)
-    kernel, ink = _resolve_kernel(run.need("kernel"), mu1.support, mu2.support, eps, run.config_dir)
+    eps = run.get("eps", float, 1.0)
+    kernel, ink = _resolve_kernel(run.get("kernel"), mu1.support, mu2.support, eps, run.config_dir)
     run.inputs += ink
     mu1 = mu1.normalized()
     mu2 = mu2.normalized()
-    sol = solve_schrodinger(kernel, mu1, mu2,
-                            tol=run.get_float("tol", 1e-10),
-                            max_iters=run.get_int("max_iters", 5000))
+    sol = solve_schrodinger(kernel, mu1, mu2, **run.given(tol=float, max_iters=int))
     write_json(run.path("solution.json"), solution_payload(sol))
     write_plan_csv(run.path("plan.csv"), sol)
     if not sol.converged:
@@ -189,15 +184,16 @@ def _cmd_solve(run: _Run):
 
 
 def _cmd_control(run: _Run):
-    p0, in0 = _resolve_density(run.need("p0"), run.grid, run.config_dir)
-    p1, in1 = _resolve_density(run.need("p1"), run.grid, run.config_dir)
+    p0, in0 = _resolve_density(run.get("p0"), run.grid, run.config_dir)
+    p1, in1 = _resolve_density(run.get("p1"), run.grid, run.config_dir)
     run.inputs += in0 + in1
-    eps_list = [float(v) for v in run.need("eps").split(",")]
-    tol = run.get_float("tol", 1e-12)
+    eps_list = run.get("eps", _floats)
+    if not all(0 < eps < math.inf for eps in eps_list):
+        raise ValueError("every eps in the list must be finite and > 0")
+    opts = run.given(tol=float, max_iters=int)
     reports = []
     for eps in eps_list:
-        rep = control_value(p0, p1, eps, tol=tol,
-                            max_iters=run.get_int("max_iters", 20000))
+        rep = control_value(p0, p1, eps, **opts)
         reports.append((eps, rep))
         if not rep.converged:
             raise NonConvergenceError(f"control solve stalled at eps={eps:g}")
@@ -209,18 +205,18 @@ def _cmd_control(run: _Run):
 
 
 def _cmd_bridge(run: _Run):
-    p0, in0 = _resolve_density(run.need("p0"), run.grid, run.config_dir)
-    p1, in1 = _resolve_density(run.need("p1"), run.grid, run.config_dir)
+    p0, in0 = _resolve_density(run.get("p0"), run.grid, run.config_dir)
+    p1, in1 = _resolve_density(run.get("p1"), run.grid, run.config_dir)
     run.inputs += in0 + in1
-    eps = run.get_float("eps")
+    eps = run.get("eps", float)
     seed = run.seed()
-    n_paths = run.get_int("n_paths", 10000)
-    n_steps = run.get_int("n_steps", 200)
+    n_paths = run.get("n_paths", int, 10000)
+    n_steps = run.get("n_steps", int, 200)
     keep = run.cfg.get("full_paths", "false").lower() == "true"
-    bins = run.get_int("bins", 50)
+    bins = run.get("bins", int, 50)
     if not bins >= 1:
         raise ValueError("need bins >= 1")
-    rep = control_value(p0, p1, eps, tol=run.get_float("tol", 1e-12))
+    rep = control_value(p0, p1, eps, **run.given(tol=float))
     if not rep.converged:
         raise NonConvergenceError("endpoint system did not converge")
     ens = simulate(p0, rep.solution, eps, n_paths, n_steps, seed,
@@ -242,18 +238,13 @@ def _write_moment_diagnostics(run: _Run, rows):
 
 
 def _cmd_moment(run: _Run):
-    p1, in1 = _resolve_density(run.need("p1"), run.grid, run.config_dir)
+    p1, in1 = _resolve_density(run.get("p1"), run.grid, run.config_dir)
     run.inputs += in1
-    r = run.get_float("r")
+    opts = run.given(tol=float, damping=float, max_outer=int)
     if "schedule" in run.cfg:
-        schedule = [float(v) for v in run.cfg["schedule"].split(",")]
-    else:
-        schedule = [2.0 ** (-k) for k in range(8)]
+        opts["eps_schedule"] = _floats(run.cfg["schedule"])
     try:
-        result = zero_noise_continuation(
-            p1, r, eps_schedule=schedule, tol=run.get_float("tol", 1e-9),
-            damping=run.get_float("damping", 0.5),
-            max_outer=run.get_int("max_outer", 200))
+        result = zero_noise_continuation(p1, run.get("r", float), **opts)
     except NonConvergenceError as exc:
         _write_moment_diagnostics(run, exc.partial["diagnostics"])
         raise
@@ -271,33 +262,28 @@ def _cmd_moment(run: _Run):
 
 
 def _cmd_stability(run: _Run):
-    mu1, in1 = _resolve_measure(run.need("mu1"), run.grid, run.config_dir)
-    mu2, in2 = _resolve_measure(run.need("mu2"), run.grid, run.config_dir)
+    mu1, in1 = _resolve_measure(run.get("mu1"), run.grid, run.config_dir)
+    mu2, in2 = _resolve_measure(run.get("mu2"), run.grid, run.config_dir)
     run.inputs += in1 + in2
-    eps = run.get_float("eps", 1.0)
+    eps = run.get("eps", float, 1.0)
     kernel, ink = _resolve_kernel(run.cfg.get("kernel", "gaussian:1"),
                                   mu1.support, mu2.support, eps, run.config_dir)
     run.inputs += ink
     mu1 = mu1.normalized()
     mu2 = mu2.normalized()
-    kind = run.need("family")
-    params = {
-        "amplitude": run.get_float("amplitude", 1.0),
-        "bandwidth": run.get_float("bandwidth", 0.5),
-        "seed": run.seed() if kind == "marginal_empirical" else run.get_int("seed", 0),
-    }
-    if "index_set" in run.cfg:
-        params["index_set"] = [int(v) for v in run.cfg["index_set"].split(",")]
+    kind = run.get("family")
+    params = run.given(amplitude=float, bandwidth=float,
+                       index_set=lambda v: [int(n) for n in v.split(",")])
+    params["seed"] = run.seed() if kind == "marginal_empirical" else run.get("seed", int, 0)
     fam = make_family(kernel, mu1, mu2, kind, params)
-    n_probe = run.get_int("n_probes", 3)
+    n_probe = run.get("n_probes", int, 3)
     rng = np.random.Generator(np.random.Philox(key=params["seed"]))
     probes = [(int(rng.integers(mu1.support.n_points)),
                int(rng.integers(mu2.support.n_points))) for _ in range(n_probe)]
-    m = run.get_int("m", int(math.ceil(max(mu1.support.bounding_radius,
-                                           mu2.support.bounding_radius))))
-    r_prime = run.get_float("r_prime") if "r_prime" in run.cfg else None
+    m = run.get("m", int, int(math.ceil(max(mu1.support.bounding_radius,
+                                            mu2.support.bounding_radius))))
     report = run_convergence((kernel, mu1, mu2), fam, probes, m,
-                             tol=run.get_float("tol", 1e-12), r_prime=r_prime)
+                             **run.given(tol=float, r_prime=float))
     write_csv(run.path("stability.csv"),
               ["n", "plan_bl", "product_gap", "potential_gap", "supnorm_gap"],
               [(row.n, row.plan_bl, row.product_gap, row.potential_gap,

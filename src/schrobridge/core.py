@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import functools
 import math
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -45,10 +44,6 @@ class NonConvergenceError(RuntimeError):
     def __init__(self, message, partial=None):
         super().__init__(message)
         self.partial = partial
-
-
-class UnderflowWarning(RuntimeWarning):
-    """Kernel values were clamped; downstream code should use log entries."""
 
 
 def _readonly(a):
@@ -300,26 +295,6 @@ def log_heat(x, y, eps, t):
 def log_eval_kernel(k: KernelSpec):
     """Exact log kernel entries (``k.logk``); safe for arbitrarily small heat times."""
     return k.logk
-
-
-def eval_kernel(k: KernelSpec):
-    """Dense kernel matrix K[i, j] = q(x_i, y_j).
-
-    Entries whose log falls below the double-precision exponent floor
-    (about -745) are clamped to the smallest positive normal and an
-    UnderflowWarning is raised; solvers should then consume
-    log_eval_kernel output instead.
-    """
-    if isinstance(k, DenseKernel):
-        return k.values.copy()
-    logk = log_eval_kernel(k)
-    floor = math.log(np.finfo(float).tiny)
-    if np.any(logk < floor):
-        warnings.warn(
-            "kernel underflow: values clamped, use log-domain entries",
-            UnderflowWarning, stacklevel=2)
-        return np.exp(np.maximum(logk, floor))
-    return np.exp(logk)
 
 
 def product_support(sx: Support, sy: Support) -> Support:

@@ -20,8 +20,6 @@ from .core import DenseKernel, Density, DiscreteMeasure, Support
 
 def fmt(x) -> str:
     """Fixed 17-significant-digit decimal form of a float."""
-    if isinstance(x, float) and math.isnan(x):
-        return "nan"
     return format(float(x), ".17g")
 
 
@@ -144,20 +142,17 @@ def load_density_csv(path) -> Density:
     return Density(sup, values, is_probability=abs(mass - 1.0) <= 1e-10)
 
 
+def _save_table(path, support: Support, value_name, values):
+    header = [f"x_{k + 1}" for k in range(support.dim)] + [value_name, "cell_volume"]
+    write_csv(path, header, np.column_stack([support.points, values, support.cell_volumes]))
+
+
 def save_measure_csv(path, mu: DiscreteMeasure):
-    d = mu.support.dim
-    header = [f"x_{k + 1}" for k in range(d)] + ["weight", "cell_volume"]
-    rows = [list(mu.support.points[i]) + [mu.weights[i], mu.support.cell_volumes[i]]
-            for i in range(mu.support.n_points)]
-    write_csv(path, header, rows)
+    _save_table(path, mu.support, "weight", mu.weights)
 
 
 def save_density_csv(path, p: Density):
-    d = p.support.dim
-    header = [f"x_{k + 1}" for k in range(d)] + ["density", "cell_volume"]
-    rows = [list(p.support.points[i]) + [p.values[i], p.support.cell_volumes[i]]
-            for i in range(p.support.n_points)]
-    write_csv(path, header, rows)
+    _save_table(path, p.support, "density", p.values)
 
 
 def load_kernel_csv(path, source: Support, target: Support) -> DenseKernel:
@@ -182,7 +177,7 @@ def solution_payload(sol):
         "nu2": sol.nu2.weights,
         "u1": sol.u1,
         "u2": sol.u2,
-        "m_index": sol.m_index,
+        "m_index": 1,
         "scale_C": sol.scale_C,
         "iterations": sol.iterations,
         "final_residual": sol.final_residual,
@@ -198,9 +193,7 @@ def write_plan_csv(path, sol):
 
 
 def write_terminal_csv(path, ens):
-    d = ens.dim
-    header = [f"x_{k + 1}" for k in range(d)]
-    write_csv(path, header, [list(row) for row in ens.terminal])
+    write_csv(path, [f"x_{k + 1}" for k in range(ens.dim)], ens.terminal)
 
 
 def write_paths_binary(path, ens):

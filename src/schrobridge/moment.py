@@ -311,8 +311,8 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
     of the levels completed before it.
     """
     eps_schedule = tuple(float(e) for e in eps_schedule)
-    if len(eps_schedule) == 0 or any(e <= 0 for e in eps_schedule):
-        raise ValueError("schedule must be nonempty and positive")
+    if len(eps_schedule) == 0 or not all(0 < e < math.inf for e in eps_schedule):
+        raise ValueError("schedule must be nonempty with every entry finite and > 0")
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
     p1c, shift = recentered(p1)

@@ -50,10 +50,6 @@ class SchroedingerSolution:
         kernels. ``nu_i.weights == exp(log_nu_i)`` up to underflow.
     u1, u2 : arrays
         Log-potentials: exp(u1[i]) = sum_j q_ij nu2_j and symmetrically.
-    m_index : int
-        Index of the exhaustion set used for normalization. Finite grids
-        are compact, so the exhaustion starts at the whole support and
-        this is always 1.
     scale_C : float
         The factor applied as (C nu1, nu2 / C) to equalize total masses.
     iterations : int
@@ -73,7 +69,6 @@ class SchroedingerSolution:
     log_nu2: np.ndarray
     u1: np.ndarray
     u2: np.ndarray
-    m_index: int
     scale_C: float
     iterations: int
     final_residual: float
@@ -220,7 +215,6 @@ def solve_schrodinger(
         log_nu2=b,
         u1=u1,
         u2=u2,
-        m_index=1,
         scale_C=scale_c,
         iterations=iterations,
         final_residual=float(residual),
@@ -262,9 +256,10 @@ def truncated_potentials(sol: SchroedingerSolution, m):
 
     The truncation profile is 1 on the ball B_m, decays linearly to 0 on
     B_{m+1}, and vanishes outside; u_{i|m}[k] = log sum_j q(x_k, y_j)
-    phi_m(y_j) nu_j[j]. Pointwise nondecreasing in m.
+    phi_m(y_j) nu_j[j]. Pointwise nondecreasing in m. On a finite grid the
+    exhaustion starts at the whole support, so m_index = 1 is the least m.
     """
-    if m < sol.m_index:
+    if not m >= 1:
         raise ValueError("truncation below m_index")
     logk = log_eval_kernel(sol.kernel)
     with np.errstate(divide="ignore"):

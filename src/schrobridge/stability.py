@@ -97,6 +97,8 @@ def make_family(base_q: KernelSpec, base_mu1: DiscreteMeasure,
         raise ValueError(f"unknown family parameters: {sorted(params)}")
     if any(n <= 0 for n in index_set):
         raise ValueError("family indices must be positive")
+    if not 0 < bandwidth < math.inf:
+        raise ValueError("bandwidth must be finite and > 0")
 
     kernels, mu1s, mu2s, gaps = [], [], [], []
     if kind == "kernel_perturbation":

@@ -11,10 +11,8 @@ from schrobridge import (
     GaussianHeatKernel,
     OracleTooLargeError,
     Support,
-    UnderflowWarning,
     bl_distance,
     entropy,
-    eval_kernel,
     make_grid,
     product_bl_distance,
     product_support,
@@ -168,10 +166,10 @@ class TestEvalKernel:
         g = Support(points=np.array([[0.0]]), cell_volumes=np.ones(1),
                     bounding_radius=0.0)
         k = GaussianHeatKernel(source=g, target=g, t=1.0, eps=1.0)
-        assert eval_kernel(k)[0, 0] == pytest.approx((2 * math.pi) ** -0.5, abs=1e-12)
+        assert np.exp(k.logk)[0, 0] == pytest.approx((2 * math.pi) ** -0.5, abs=1e-12)
 
     def test_dense_passthrough(self, q2x2):
-        assert np.array_equal(eval_kernel(q2x2), [[2.0, 1.0], [1.0, 2.0]])
+        assert np.allclose(np.exp(q2x2.logk), [[2.0, 1.0], [1.0, 2.0]], rtol=1e-15, atol=0)
 
     def test_gaussian_unit_distance(self):
         s = Support(points=np.array([[0.0], [1.0]]), cell_volumes=np.ones(2),
@@ -179,28 +177,29 @@ class TestEvalKernel:
         k = GaussianHeatKernel(source=s, target=s, t=0.5, eps=2.0)
         # (2 pi eps t)^(-1/2) exp(-1 / (2 eps t)) with eps*t = 1
         expected = (2 * math.pi) ** -0.5 * math.exp(-0.5)
-        assert eval_kernel(k)[0, 1] == pytest.approx(expected, rel=1e-12)
-        assert eval_kernel(k)[0, 1] == pytest.approx(0.2419707, rel=1e-6)
+        assert np.exp(k.logk)[0, 1] == pytest.approx(expected, rel=1e-12)
+        assert np.exp(k.logk)[0, 1] == pytest.approx(0.2419707, rel=1e-6)
 
     def test_symmetry_and_translation_invariance(self):
         rng = np.random.default_rng(3)
         pts = np.sort(rng.uniform(-1, 1, size=7))[:, None]
         s = Support(points=pts, cell_volumes=np.ones(7), bounding_radius=1.0)
         k = GaussianHeatKernel(source=s, target=s, t=0.7, eps=0.9)
-        mat = eval_kernel(k)
+        mat = np.exp(k.logk)
         assert np.allclose(mat, mat.T)
         shifted = Support(points=pts + 5.0, cell_volumes=np.ones(7),
                           bounding_radius=7.0)
         k_shift = GaussianHeatKernel(source=shifted, target=shifted, t=0.7, eps=0.9)
-        assert np.allclose(eval_kernel(k_shift), mat)
+        assert np.allclose(np.exp(k_shift.logk), mat)
 
-    def test_underflow_clamps_and_warns(self):
+    def test_underflow_stays_exact_in_logs(self):
         s = Support(points=np.array([[0.0], [100.0]]), cell_volumes=np.ones(2),
                     bounding_radius=100.0)
         k = GaussianHeatKernel(source=s, target=s, t=1.0, eps=1e-3)
-        with pytest.warns(UnderflowWarning):
-            mat = eval_kernel(k)
-        assert np.all(mat > 0)
+        # exp of the off-diagonal log entry underflows to 0; the log stays exact
+        expected = -0.5 * math.log(2 * math.pi * 1e-3) - 100.0 ** 2 / (2 * 1e-3)
+        assert k.logk[0, 1] == pytest.approx(expected, rel=1e-15)
+        assert np.exp(k.logk)[0, 1] == 0.0
 
 
 class TestEntropy:

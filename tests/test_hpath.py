@@ -36,7 +36,7 @@ def _atom_solution(atoms, eps):
     return SchroedingerSolution(
         kernel=kernel, mu1=mu1, mu2=mu2, nu1=nu1, nu2=nu2,
         log_nu1=np.log(nu1.weights), log_nu2=np.zeros(len(atoms)),
-        u1=np.zeros(5), u2=np.zeros(len(atoms)), m_index=1, scale_C=1.0,
+        u1=np.zeros(5), u2=np.zeros(len(atoms)), scale_C=1.0,
         iterations=0, final_residual=0.0, converged=True)
 
 

@@ -326,9 +326,20 @@ _BRIDGE = "p0 = gaussian:0,0.5\np1 = gaussian:0,1\neps = 0.5\nn_paths = 20\nn_st
     ("stability", "mu1 = gaussian:0,1\nmu2 = gaussian:0,1\n"
      "family = kernel_perturbation\nindex_set = 2\nr_prime = 0\n",
      _GRID + ["--seed", "1"], "finite r_prime > 0"),
+    ("moment", "p1 = gaussian:0,1\nr = 2.0\nschedule = 1,nan\n", _GRID,
+     "schedule must be nonempty with every entry finite and > 0"),
+    ("control", "p0 = gaussian:0,0.5\np1 = gaussian:0,1\neps = 1,nan\n", _GRID,
+     "every eps in the list must be finite and > 0"),
+    ("stability", "mu1 = gaussian:0,1\nmu2 = gaussian:0,1\n"
+     "family = marginal_mollification\nindex_set = 2\nbandwidth = -0.5\n",
+     _GRID + ["--seed", "1"], "bandwidth must be finite and > 0"),
+    ("stability", "mu1 = gaussian:0,1\nmu2 = gaussian:0,1\n"
+     "family = marginal_mollification\nindex_set = 2\nbandwidth = 0\n",
+     _GRID + ["--seed", "1"], "bandwidth must be finite and > 0"),
 ], ids=["negative_variance", "zero_variance", "zero_bins", "moment_tol_zero",
         "moment_tol_negative", "solve_tol_nan", "solve_eps_nan", "no_probes",
-        "r_prime_nan", "r_prime_empty_ball", "r_prime_zero"])
+        "r_prime_nan", "r_prime_empty_ball", "r_prime_zero", "schedule_nan",
+        "control_eps_nan", "bandwidth_negative", "bandwidth_zero"])
 def test_bad_scalar_parameter_exits_1(tmp_path, capsys, monkeypatch, command, config,
                                       flags, message):
     # every case is rejected before any path is simulated

@@ -1,5 +1,4 @@
 import math
-import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +7,6 @@ from schrobridge import (
     DenseKernel,
     DiscreteMeasure,
     GaussianHeatKernel,
-    UnderflowWarning,
     bl_distance,
     make_family,
     make_grid,
@@ -41,9 +39,7 @@ class TestMakeFamily:
         q, mu1, mu2 = base_instance
         fam = make_family(q, mu1, mu2, "kernel_perturbation",
                           {"index_set": [2, 4], "amplitude": 0.0})
-        from schrobridge import eval_kernel
-
-        base = eval_kernel(q)
+        base = np.exp(q.logk)
         for pos in range(len(fam)):
             qn, m1, m2 = fam.member(pos)
             assert np.array_equal(np.array(qn.values), base)
@@ -55,10 +51,8 @@ class TestMakeFamily:
         w = np.exp(-g.points[:, 0] ** 2)
         mu = DiscreteMeasure(g, w / w.sum(), is_probability=True)
         q = GaussianHeatKernel(source=g, target=g, t=1.0, eps=0.01)
-        with warnings.catch_warnings():
-            warnings.simplefilter("error", UnderflowWarning)
-            fam = make_family(q, mu, mu, "kernel_perturbation",
-                              {"index_set": [4, 16], "amplitude": 1.0})
+        fam = make_family(q, mu, mu, "kernel_perturbation",
+                          {"index_set": [4, 16], "amplitude": 1.0})
         x = g.points[:, 0]
         psi = np.outer(np.sin(x), np.cos(x))  # the family's profile in 1-D
         for pos, n in enumerate(fam.index_set):
