@@ -1,10 +1,12 @@
-"""Euler-Maruyama simulation of the h-path diffusion bridge.
+"""Exact sampling of the h-path diffusion bridge.
 
 The process minimizing the entropic control energy between P0 and P1 is a
 drifted Brownian motion whose drift is the gradient of the log heat
 potential against the fixed terminal factor nu2 of the time-1 Schrodinger
-solve. Endpoint marginals and the joint endpoint law are verified against
-the solver's plan.
+solve. As a law on paths it is the mixture of Brownian bridges over the
+solver's plan, so endpoints are drawn from the plan's conditional laws with
+no time stepping. Endpoint marginals and the joint endpoint law are
+verified against the solver's plan.
 """
 from __future__ import annotations
 
@@ -51,6 +53,26 @@ class PathEnsemble:
         return self.initial.shape[1]
 
 
+def _softmax_blocks(x, sol: SchroedingerSolution, bw):
+    """Yield (rows, y - x, weights) over row blocks of at most _DRIFT_CHUNK entries.
+
+    The (paths x atoms) weights are softmax_j(-|y_j - x|^2 / (2 bw) + log nu2_j):
+    the h-path law of the target atom seen from x with bandwidth bw left.
+    """
+    y = sol.mu2.support.points
+    block = max(1, _DRIFT_CHUNK // max(1, y.shape[0]))
+    for start in range(0, x.shape[0], block):
+        rows = slice(start, start + block)
+        diff = y[None, :, :] - x[rows, None, :]
+        w = np.einsum("pjd,pjd->pj", diff, diff)
+        w *= -1.0 / (2.0 * bw)
+        w += sol.log_nu2[None, :]
+        w -= w.max(axis=1, keepdims=True)
+        np.exp(w, out=w)
+        w /= w.sum(axis=1, keepdims=True)
+        yield rows, diff, w
+
+
 def drift(t, x, sol: SchroedingerSolution, eps):
     """Bridge drift eps * grad_x log sum_j g_eps(1-t, y_j - x) nu2_j.
 
@@ -64,22 +86,16 @@ def drift(t, x, sol: SchroedingerSolution, eps):
     x = np.asarray(x, dtype=float)
     single = x.ndim == 1
     xs = np.atleast_2d(x)
-    y = sol.mu2.support.points
-    log_nu2 = sol.log_nu2
-    bw = eps * (1.0 - t)
     out = np.empty_like(xs)
-    block = max(1, _DRIFT_CHUNK // max(1, y.shape[0]))
-    for start in range(0, xs.shape[0], block):
-        xb = xs[start:start + block]
-        diff = y[None, :, :] - xb[:, None, :]
-        logits = np.einsum("pjd,pjd->pj", diff, diff)
-        logits *= -1.0 / (2.0 * bw)
-        logits += log_nu2[None, :]
-        logits -= logits.max(axis=1, keepdims=True)
-        np.exp(logits, out=logits)
-        logits /= logits.sum(axis=1, keepdims=True)
-        out[start:start + block] = np.einsum("pj,pjd->pd", logits, diff) / (1.0 - t)
+    for rows, diff, w in _softmax_blocks(xs, sol, eps * (1.0 - t)):
+        out[rows] = np.einsum("pj,pjd->pd", w, diff) / (1.0 - t)
     return out[0] if single else out
+
+
+def _in_cells(support: Support, idx, rng):
+    """Points drawn uniformly inside the cubic cells of support points idx."""
+    h = support.cell_volumes[idx] ** (1.0 / support.dim)
+    return support.points[idx] + (rng.random((len(idx), support.dim)) - 0.5) * h[:, None]
 
 
 def sample_density(p: Density, n, rng) -> np.ndarray:
@@ -107,42 +123,43 @@ def sample_density(p: Density, n, rng) -> np.ndarray:
         with np.errstate(invalid="ignore", divide="ignore"):
             frac = np.where(wo[idx] > 0, (u - left) / wo[idx], 0.5)
         return (x[idx] - 0.5 * widths[idx] + frac * widths[idx])[:, None]
-    h = p.support.cell_volumes ** (1.0 / d)
-    idx = rng.choice(p.support.n_points, size=n, p=w)
-    jitter = (rng.random((n, d)) - 0.5) * h[idx][:, None]
-    return p.support.points[idx] + jitter
+    return _in_cells(p.support, rng.choice(p.support.n_points, size=n, p=w), rng)
 
 
 def simulate(p0: Density, sol: SchroedingerSolution, eps, n_paths, n_steps,
              seed, keep_full_paths=False) -> PathEnsemble:
-    """Euler-Maruyama bridge simulation with seeded, reproducible noise.
+    """Exact bridge sampling as the plan mixture of Brownian bridges (Leonard 2014).
 
-    X_{k+1} = X_k + drift(t_k, X_k) dt + sqrt(eps dt) xi_k; drift times are
-    clamped to 1 - 1/n_steps so the final jump avoids the bridge
-    singularity. Identical inputs and seed give a bit-identical ensemble.
+    X0 ~ p0; the atom given X0 = x by inverting softmax_j(-|y_j - x|^2 / (2 eps)
+    + log nu2_j) at one uniform; X1 uniform in that atom's cell (the step-density
+    reading of ``binned_plan``). Full paths are Brownian bridges from X0 to X1,
+    drawn after X1 so the terminal points do not depend on keep_full_paths.
+    Identical inputs and seed give a bit-identical ensemble.
     """
     if n_steps < 2 or n_paths < 1:
         raise ValueError("need n_steps >= 2 and n_paths >= 1")
     if seed is None:
         raise ValueError("a seed is mandatory for simulation")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    d = p0.support.dim
     times = np.linspace(0.0, 1.0, n_steps + 1)
-    dt = 1.0 / n_steps
-    t_cap = 1.0 - dt
-    x = sample_density(p0, n_paths, rng)
-    initial = x.copy()
+    initial = sample_density(p0, n_paths, rng)
+    u = rng.random(n_paths)
+    atom = np.empty(n_paths, dtype=np.int64)
+    for rows, _, w in _softmax_blocks(initial, sol, eps):
+        np.cumsum(w, axis=1, out=w)
+        atom[rows] = (w <= u[rows, None] * w[:, -1:]).sum(axis=1)
+    terminal = _in_cells(sol.mu2.support, atom, rng)
     paths = None
     if keep_full_paths:
-        paths = np.empty((n_paths, n_steps + 1, d))
-        paths[:, 0, :] = x
-    scale = math.sqrt(eps * dt)
-    for k in range(n_steps):
-        t_eval = min(times[k], t_cap)
-        x = x + drift(t_eval, x, sol, eps) * dt + scale * rng.standard_normal((n_paths, d))
-        if paths is not None:
-            paths[:, k + 1, :] = x
-    return PathEnsemble(times=times, initial=initial, terminal=x, seed=int(seed),
+        paths = np.empty((n_paths, n_steps + 1, p0.support.dim))
+        paths[:, 0, :] = x = initial
+        for k in range(1, n_steps):
+            s, t = times[k - 1], times[k]
+            scale = math.sqrt(eps * (t - s) * (1.0 - t) / (1.0 - s))
+            x = x + (t - s) / (1.0 - s) * (terminal - x) + scale * rng.standard_normal(x.shape)
+            paths[:, k, :] = x
+        paths[:, -1, :] = terminal
+    return PathEnsemble(times=times, initial=initial, terminal=terminal, seed=int(seed),
                         eps=float(eps), paths=paths)
 
 

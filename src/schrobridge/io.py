@@ -18,9 +18,12 @@ import numpy as np
 from .core import DenseKernel, Density, DiscreteMeasure, Support
 
 
+_FLOAT_SPEC = ".17g"  # the one float format of every artifact
+
+
 def fmt(x) -> str:
     """Fixed 17-significant-digit decimal form of a float."""
-    return format(float(x), ".17g")
+    return format(float(x), _FLOAT_SPEC)
 
 
 def _json_value(obj):
@@ -188,8 +191,14 @@ def solution_payload(sol):
 def write_plan_csv(path, sol):
     from .solver import plan_matrix
 
-    write_csv(path, ["i", "j", "mass"],
-              ((i, j, v) for (i, j), v in np.ndenumerate(plan_matrix(sol))))
+    plan = plan_matrix(sol)
+    cols = [f"{j}," for j in range(plan.shape[1])]
+    with open(path, "w") as fh:
+        fh.write("i,j,mass\n")
+        for i, row in enumerate(plan):
+            head = f"{i},"
+            fh.writelines(head + c + format(v, _FLOAT_SPEC) + "\n"
+                          for c, v in zip(cols, row.tolist()))
 
 
 def write_terminal_csv(path, ens):

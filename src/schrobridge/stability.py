@@ -89,14 +89,17 @@ def make_family(base_q: KernelSpec, base_mu1: DiscreteMeasure,
     samples projected to the grid (the index is the sample count).
     """
     params = dict(params or {})
-    index_set = tuple(int(n) for n in params.pop("index_set", (4, 8, 16, 32, 64)))
+    raw_index = tuple(params.pop("index_set", (4, 8, 16, 32, 64)))
     amplitude = float(params.pop("amplitude", 1.0))
     bandwidth = float(params.pop("bandwidth", 0.5))
     seed = int(params.pop("seed", 0))
     if params:
         raise ValueError(f"unknown family parameters: {sorted(params)}")
-    if any(n <= 0 for n in index_set):
-        raise ValueError("family indices must be positive")
+    if not all(float(n).is_integer() and n > 0 for n in raw_index):
+        raise ValueError("family indices must be positive integers")
+    index_set = tuple(int(n) for n in raw_index)
+    if not math.isfinite(amplitude):
+        raise ValueError("amplitude must be finite")
     if not 0 < bandwidth < math.inf:
         raise ValueError("bandwidth must be finite and > 0")
 

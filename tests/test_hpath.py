@@ -14,9 +14,43 @@ from schrobridge import (
     sample_density,
     simulate,
 )
-from schrobridge.hpath import binned_plan, initial_chi_square
+from schrobridge.core import empirical_measure, tv_distance, w2_distance_1d
+from schrobridge.hpath import PathEnsemble, binned_joint, binned_plan, initial_chi_square
 from schrobridge.solver import SchroedingerSolution
 from conftest import gaussian_density
+
+
+def euler_maruyama_reference(p0: Density, sol: SchroedingerSolution, eps, n_paths, n_steps,
+                             seed, keep_full_paths=False) -> PathEnsemble:
+    """Reference: the Euler-Maruyama loop ``simulate`` ran before exact sampling.
+
+    X_{k+1} = X_k + drift(t_k, X_k) dt + sqrt(eps dt) xi_k with seeded noise;
+    drift times are clamped to 1 - 1/n_steps so the final jump avoids the
+    bridge singularity. Identical inputs and seed give a bit-identical ensemble.
+    """
+    if n_steps < 2 or n_paths < 1:
+        raise ValueError("need n_steps >= 2 and n_paths >= 1")
+    if seed is None:
+        raise ValueError("a seed is mandatory for simulation")
+    rng = np.random.Generator(np.random.Philox(key=int(seed)))
+    d = p0.support.dim
+    times = np.linspace(0.0, 1.0, n_steps + 1)
+    dt = 1.0 / n_steps
+    t_cap = 1.0 - dt
+    x = sample_density(p0, n_paths, rng)
+    initial = x.copy()
+    paths = None
+    if keep_full_paths:
+        paths = np.empty((n_paths, n_steps + 1, d))
+        paths[:, 0, :] = x
+    scale = math.sqrt(eps * dt)
+    for k in range(n_steps):
+        t_eval = min(times[k], t_cap)
+        x = x + drift(t_eval, x, sol, eps) * dt + scale * rng.standard_normal((n_paths, d))
+        if paths is not None:
+            paths[:, k + 1, :] = x
+    return PathEnsemble(times=times, initial=initial, terminal=x, seed=int(seed),
+                        eps=float(eps), paths=paths)
 
 
 def _atom_solution(atoms, eps):
@@ -146,9 +180,49 @@ class TestSimulate:
         g = make_grid(1, 2.0, 5)
         p0 = Density(g, np.full(5, 1.0 / g.total_volume), is_probability=True)
         n_steps = 100
-        ens = simulate(p0, sol, eps, 2000, n_steps, seed=1)
+        ens = euler_maruyama_reference(p0, sol, eps, 2000, n_steps, seed=1)
         spread = np.abs(ens.terminal[:, 0] - 1.5)
         assert np.quantile(spread, 0.95) <= 5 * math.sqrt(eps / n_steps) + 0.05
+
+    def test_law_matches_euler_maruyama_reference(self, bridge_setup):
+        g, p0, p1, sol = bridge_setup
+        n, bins, radius = 10_000, 25, g.bounding_radius
+        plan = binned_plan(sol, radius, bins)
+        target = p1.to_measure().normalized()
+        rng = np.random.Generator(np.random.Philox(key=1))
+        tv_floor = np.mean([tv_distance(rng.multinomial(n, plan) / n, plan)
+                            for _ in range(20)])
+        w2_floor = np.mean([w2_distance_1d(empirical_measure(sample_density(p1, n, rng)),
+                                           target) for _ in range(5)])
+        for sampler in (simulate, euler_maruyama_reference):
+            ens = sampler(p0, sol, 0.5, n, 100, seed=6)
+            tv = tv_distance(binned_joint(ens.initial, ens.terminal, radius, bins), plan)
+            w2 = w2_distance_1d(empirical_measure(ens.terminal), target)
+            assert tv <= 1.3 * tv_floor, sampler.__name__
+            assert w2 <= 3.0 * w2_floor, sampler.__name__
+
+    def test_inner_times_are_brownian_bridges(self, bridge_setup):
+        g, p0, _, sol = bridge_setup
+        eps, n, n_steps = 0.5, 20_000, 10
+        ens = simulate(p0, sol, eps, n, n_steps, seed=4, keep_full_paths=True)
+        k = n_steps // 2
+        t = ens.times[k]
+        assert t == 0.5
+        x0, x1 = ens.initial[:, 0], ens.terminal[:, 0]
+        z = (ens.paths[:, k, 0] - (1 - t) * x0 - t * x1) / math.sqrt(eps * t * (1 - t))
+        assert abs(z.mean()) <= 4.0 / math.sqrt(n)
+        assert abs(z.var() - 1.0) <= 4.0 * math.sqrt(2.0 / n)
+
+    def test_terminal_points_lie_in_atom_cells(self):
+        eps = 0.3
+        atoms = np.array([-1.2, 0.3, 1.6])  # unit cells, pairwise disjoint
+        sol = _atom_solution(atoms, eps=eps)
+        g = make_grid(1, 2.0, 5)
+        p0 = Density(g, np.full(5, 1.0 / g.total_volume), is_probability=True)
+        ens = simulate(p0, sol, eps, 3000, 10, seed=2)
+        inside = np.abs(ens.terminal[:, 0, None] - atoms[None, :]) <= 0.5
+        assert np.all(inside.sum(axis=1) == 1)
+        assert np.all(inside.any(axis=0))
 
     def test_seed_mandatory(self, bridge_setup):
         g, p0, _, sol = bridge_setup

@@ -89,6 +89,19 @@ class TestMakeFamily:
             for m in fam.mu1s + fam.mu2s:
                 assert m.is_probability
 
+    @pytest.mark.parametrize("index_set", [[2.5, 4.9], [4, math.nan], [math.inf]])
+    def test_non_integer_indices_rejected(self, base_instance, index_set):
+        q, mu1, mu2 = base_instance
+        with pytest.raises(ValueError, match="integers"):
+            make_family(q, mu1, mu2, "kernel_perturbation", {"index_set": index_set})
+
+    @pytest.mark.parametrize("amplitude", [math.nan, math.inf])
+    def test_non_finite_amplitude_rejected(self, base_instance, amplitude):
+        q, mu1, mu2 = base_instance
+        with pytest.raises(ValueError, match="amplitude must be finite"):
+            make_family(q, mu1, mu2, "kernel_perturbation",
+                        {"index_set": [2], "amplitude": amplitude})
+
     def test_unknown_kind_rejected(self, base_instance):
         q, mu1, mu2 = base_instance
         with pytest.raises(ValueError, match="kind"):
