@@ -25,7 +25,7 @@ from .core import (
     NonConvergenceError,
     make_grid,
 )
-from .hpath import endpoint_diagnostics, simulate
+from .hpath import check_path_counts, endpoint_diagnostics, simulate
 from .io import (
     load_density_csv,
     load_kernel_csv,
@@ -216,11 +216,11 @@ def _cmd_bridge(run: _Run):
     bins = run.get("bins", int, 50)
     if not bins >= 1:
         raise ValueError("need bins >= 1")
+    check_path_counts(n_paths, n_steps)
     rep = control_value(p0, p1, eps, **run.given(tol=float))
     if not rep.converged:
         raise NonConvergenceError("endpoint system did not converge")
-    ens = simulate(p0, rep.solution, eps, n_paths, n_steps, seed,
-                   keep_full_paths=keep)
+    ens = simulate(p0, rep.solution, n_paths, n_steps, seed, keep_full_paths=keep)
     diag = endpoint_diagnostics(ens, rep.solution, p1, bins=bins)
     write_terminal_csv(run.path("terminal.csv"), ens)
     if keep:
@@ -289,8 +289,7 @@ def _cmd_stability(run: _Run):
               [(row.n, row.plan_bl, row.product_gap, row.potential_gap,
                 row.supnorm_gap) for row in report.rows])
     summary = report.summary()
-    summary["semiconvexity_constant"] = semiconvexity_constant(
-        kernel, max(mu1.support.bounding_radius, mu2.support.bounding_radius))
+    summary["semiconvexity_constant"] = semiconvexity_constant(kernel)
     write_json(run.path("stability_summary.json"), summary)
     return 0
 

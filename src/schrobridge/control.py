@@ -91,8 +91,6 @@ def control_value(p0: Density, p1: Density, eps,
     diffusivity ``eps`` and evaluates the three equivalent forms of the
     value. A non-converged inner solve propagates as a flagged report.
     """
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     mu1 = p0.to_measure()
     mu2 = p1.to_measure()
     if not (mu1.is_probability and mu2.is_probability):

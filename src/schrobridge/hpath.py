@@ -1,12 +1,12 @@
 """Exact sampling of the h-path diffusion bridge.
 
 The process minimizing the entropic control energy between P0 and P1 is a
-drifted Brownian motion whose drift is the gradient of the log heat
-potential against the fixed terminal factor nu2 of the time-1 Schrodinger
-solve. As a law on paths it is the mixture of Brownian bridges over the
-solver's plan, so endpoints are drawn from the plan's conditional laws with
-no time stepping. Endpoint marginals and the joint endpoint law are
-verified against the solver's plan.
+Brownian motion of variance eps * t per unit time, the bandwidth of the
+Schrodinger solve's heat kernel, drifted by the gradient of the log heat
+potential against the solve's terminal factor nu2. As a law on paths it is
+the mixture of Brownian bridges over the plan, so endpoints are drawn from
+the plan's conditional laws with no time stepping. Endpoint marginals and
+the joint endpoint law are verified against the identically binned plan.
 """
 from __future__ import annotations
 
@@ -14,11 +14,13 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 
 from .core import (
     W2_ORACLE_CAP,
     Density,
     DiscreteMeasure,
+    GaussianHeatKernel,
     Support,
     bl_distance,
     empirical_measure,
@@ -41,7 +43,6 @@ class PathEnsemble:
     initial: np.ndarray
     terminal: np.ndarray
     seed: int
-    eps: float
     paths: np.ndarray | None = None
 
     @property
@@ -73,13 +74,21 @@ def _softmax_blocks(x, sol: SchroedingerSolution, bw):
         yield rows, diff, w
 
 
-def drift(t, x, sol: SchroedingerSolution, eps):
-    """Bridge drift eps * grad_x log sum_j g_eps(1-t, y_j - x) nu2_j.
+def _bandwidth(sol: SchroedingerSolution):
+    """The bridge's variance per unit time: eps * t of sol's heat kernel."""
+    if not isinstance(sol.kernel, GaussianHeatKernel):
+        raise TypeError("the h-path bridge needs a heat kernel")
+    return sol.kernel.eps * sol.kernel.t
+
+
+def drift(t, x, sol: SchroedingerSolution):
+    """Bridge drift bw * grad_x log sum_j g_bw(1-t, y_j - x) nu2_j, bw = eps * t of sol.kernel.
 
     Closed form: softmax-weighted mean of (y_j - x) / (1 - t), the weights
-    being proportional to g_eps(1-t, y_j - x) nu2_j. Evaluated fully in
-    the log domain, so far-field states fall back smoothly to the
-    nearest-atom asymptote (y* - x) / (1 - t).
+    being proportional to g_bw(1-t, y_j - x) nu2_j. Evaluated fully in the
+    log domain, so far-field states fall back smoothly to the nearest-atom
+    asymptote (y* - x) / (1 - t). Raises TypeError unless sol's kernel is a
+    heat kernel.
     """
     if t >= 1.0:
         raise ValueError("drift is undefined at t >= 1")
@@ -87,7 +96,7 @@ def drift(t, x, sol: SchroedingerSolution, eps):
     single = x.ndim == 1
     xs = np.atleast_2d(x)
     out = np.empty_like(xs)
-    for rows, diff, w in _softmax_blocks(xs, sol, eps * (1.0 - t)):
+    for rows, diff, w in _softmax_blocks(xs, sol, _bandwidth(sol) * (1.0 - t)):
         out[rows] = np.einsum("pj,pjd->pd", w, diff) / (1.0 - t)
     return out[0] if single else out
 
@@ -126,26 +135,33 @@ def sample_density(p: Density, n, rng) -> np.ndarray:
     return _in_cells(p.support, rng.choice(p.support.n_points, size=n, p=w), rng)
 
 
-def simulate(p0: Density, sol: SchroedingerSolution, eps, n_paths, n_steps,
+def check_path_counts(n_paths, n_steps):
+    """Reject what ``simulate`` cannot draw: no path, or fewer than two steps."""
+    if n_steps < 2 or n_paths < 1:
+        raise ValueError("need n_steps >= 2 and n_paths >= 1")
+
+
+def simulate(p0: Density, sol: SchroedingerSolution, n_paths, n_steps,
              seed, keep_full_paths=False) -> PathEnsemble:
     """Exact bridge sampling as the plan mixture of Brownian bridges (Leonard 2014).
 
-    X0 ~ p0; the atom given X0 = x by inverting softmax_j(-|y_j - x|^2 / (2 eps)
-    + log nu2_j) at one uniform; X1 uniform in that atom's cell (the step-density
-    reading of ``binned_plan``). Full paths are Brownian bridges from X0 to X1,
-    drawn after X1 so the terminal points do not depend on keep_full_paths.
-    Identical inputs and seed give a bit-identical ensemble.
+    With bw = eps * t of sol's heat kernel (TypeError for other kernels): X0 ~ p0;
+    the atom given X0 = x by inverting softmax_j(-|y_j - x|^2 / (2 bw) + log nu2_j)
+    at one uniform; X1 uniform in that atom's cell (the step-density reading of
+    ``binned_plan``). Full paths are Brownian bridges of variance bw per unit time
+    from X0 to X1, drawn after X1 so the terminal points do not depend on
+    keep_full_paths. Identical inputs and seed give a bit-identical ensemble.
     """
-    if n_steps < 2 or n_paths < 1:
-        raise ValueError("need n_steps >= 2 and n_paths >= 1")
+    check_path_counts(n_paths, n_steps)
     if seed is None:
         raise ValueError("a seed is mandatory for simulation")
+    bw = _bandwidth(sol)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     times = np.linspace(0.0, 1.0, n_steps + 1)
     initial = sample_density(p0, n_paths, rng)
     u = rng.random(n_paths)
     atom = np.empty(n_paths, dtype=np.int64)
-    for rows, _, w in _softmax_blocks(initial, sol, eps):
+    for rows, _, w in _softmax_blocks(initial, sol, bw):
         np.cumsum(w, axis=1, out=w)
         atom[rows] = (w <= u[rows, None] * w[:, -1:]).sum(axis=1)
     terminal = _in_cells(sol.mu2.support, atom, rng)
@@ -155,77 +171,62 @@ def simulate(p0: Density, sol: SchroedingerSolution, eps, n_paths, n_steps,
         paths[:, 0, :] = x = initial
         for k in range(1, n_steps):
             s, t = times[k - 1], times[k]
-            scale = math.sqrt(eps * (t - s) * (1.0 - t) / (1.0 - s))
+            scale = math.sqrt(bw * (t - s) * (1.0 - t) / (1.0 - s))
             x = x + (t - s) / (1.0 - s) * (terminal - x) + scale * rng.standard_normal(x.shape)
             paths[:, k, :] = x
         paths[:, -1, :] = terminal
     return PathEnsemble(times=times, initial=initial, terminal=terminal, seed=int(seed),
-                        eps=float(eps), paths=paths)
+                        paths=paths)
 
 
-def _bin_edges(radius, bins):
-    return np.linspace(-radius, radius, bins + 1)
-
-
-def _bin_index(coords, edges):
-    return np.clip(np.searchsorted(edges, coords, side="right") - 1, 0, len(edges) - 2)
+def _bin_ids(coords, radius, bins):
+    """Flat bin of each row of coords on the bins-per-axis lattice over [-radius, radius]^d."""
+    edges = np.linspace(-radius, radius, bins + 1)
+    ids = np.zeros(len(coords), dtype=np.int64)
+    for c in coords.T:
+        ids = ids * bins + np.clip(np.searchsorted(edges, c, side="right") - 1, 0, bins - 1)
+    return ids
 
 
 def binned_joint(x0, x1, radius, bins):
     """Histogram of endpoint pairs on a bins^(2d) lattice over [-radius, radius]."""
-    d = x0.shape[1]
-    edges = _bin_edges(radius, bins)
-    idx = np.zeros(len(x0), dtype=np.int64)
-    for coords in np.hstack([x0, x1]).T:
-        idx = idx * bins + _bin_index(coords, edges)
-    flat = np.bincount(idx, minlength=bins ** (2 * d))
+    flat = np.bincount(_bin_ids(np.hstack([x0, x1]), radius, bins),
+                       minlength=bins ** (2 * x0.shape[1]))
     return flat / flat.sum()
 
 
-def _cell_bin_split(support: Support, edges):
-    """Distribute cubic quadrature cells over histogram bins by overlap.
+def _overlap_matrix(support: Support, radius, bins):
+    """Sparse (n, bins^d) share of each cubic quadrature cell in each bin.
 
     Grid masses represent cells, not atoms; assigning a whole cell to the
-    bin of its center biases comparisons against continuous samples.
-    Returns [(flat_bin_index, fraction)] combos covering every cell.
+    bin of its center biases comparisons against continuous samples. The
+    share of a cell beyond the lattice goes to the edge bin.
     """
     pts = support.points
-    d = support.dim
+    n, d = pts.shape
     widths = support.cell_volumes ** (1.0 / d)
+    edges = np.linspace(-radius, radius, bins + 1)
     bw = edges[1] - edges[0]
-    n_bins = len(edges) - 1
-    combos = [(np.zeros(len(pts), dtype=np.int64), np.ones(len(pts)))]
-    span = int(math.ceil(widths.max() / bw)) + 1
+    offsets = np.arange(int(math.ceil(widths.max() / bw)) + 2)
+    ids = np.zeros((n, 1), dtype=np.int64)
+    frac = np.ones((n, 1))
     for axis in range(d):
-        lo = pts[:, axis] - 0.5 * widths
-        hi = pts[:, axis] + 0.5 * widths
-        base = np.floor((lo - edges[0]) / bw).astype(np.int64)
-        entries = []
-        for off in range(span + 1):
-            k = base + off
-            bin_lo = edges[0] + k * bw
-            overlap = np.clip(np.minimum(hi, bin_lo + bw) - np.maximum(lo, bin_lo),
-                              0.0, None)
-            entries.append((np.clip(k, 0, n_bins - 1), overlap / (hi - lo)))
-        combos = [(idx0 * n_bins + k, f0 * f)
-                  for idx0, f0 in combos for k, f in entries]
-    return [(idx, f) for idx, f in combos if f.max() > 0]
+        lo = (pts[:, axis] - 0.5 * widths)[:, None]
+        hi = (pts[:, axis] + 0.5 * widths)[:, None]
+        k = np.floor((lo - edges[0]) / bw).astype(np.int64) + offsets
+        bin_lo = edges[0] + k * bw
+        overlap = np.clip(np.minimum(hi, bin_lo + bw) - np.maximum(lo, bin_lo), 0.0, None)
+        ids = (ids[:, :, None] * bins + np.clip(k, 0, bins - 1)[:, None, :]).reshape(n, -1)
+        frac = (frac[:, :, None] * (overlap / (hi - lo))[:, None, :]).reshape(n, -1)
+    rows = np.repeat(np.arange(n), ids.shape[1])
+    return sparse.csr_array((frac.ravel(), (rows, ids.ravel())), shape=(n, bins**d))
 
 
 def binned_plan(sol: SchroedingerSolution, radius, bins):
     """The solver's plan aggregated onto the endpoint binning by cell overlap."""
-    d = sol.mu1.support.dim
-    edges = _bin_edges(radius, bins)
-    plan = plan_matrix(sol)
-    src_combos = _cell_bin_split(sol.mu1.support, edges)
-    tgt_combos = _cell_bin_split(sol.mu2.support, edges)
-    flat = np.zeros(bins ** (2 * d))
-    scale = bins**d
-    for ks, fs in src_combos:
-        for kt, ft in tgt_combos:
-            w = plan * np.outer(fs, ft)
-            idx = (ks[:, None] * scale + kt[None, :]).ravel()
-            np.add.at(flat, idx, w.ravel())
+    src = _overlap_matrix(sol.mu1.support, radius, bins)
+    tgt = _overlap_matrix(sol.mu2.support, radius, bins)
+    flat = (src.T @ plan_matrix(sol) @ tgt).ravel()
     return flat / flat.sum()
 
 
@@ -272,25 +273,29 @@ def endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution, p1: Densi
     w2_full = None
     if ens.dim == 1:
         w2_full = w2_distance_1d(emp, target)
+        atom = np.searchsorted(emp.support.points[:, 0], ens.terminal[:, 0])
 
     radius = max(sol.mu1.support.bounding_radius, sol.mu2.support.bounding_radius)
     plan_bins = binned_plan(sol, radius, bins)
-    joint = binned_joint(ens.initial, ens.terminal, radius, bins)
+    n = ens.n_paths
+    ids = _bin_ids(np.hstack([ens.initial, ens.terminal]), radius, bins)
+    joint = np.bincount(ids, minlength=len(plan_bins)) / n
     tv = tv_distance(joint, plan_bins)
     bin_sup = Support(points=np.arange(len(plan_bins), dtype=float)[:, None],
                       cell_volumes=np.ones(len(plan_bins)), bounding_radius=float(len(plan_bins)))
     kl = relative_entropy(DiscreteMeasure(bin_sup, joint, is_probability=True),
                           DiscreteMeasure(bin_sup, plan_bins / plan_bins.sum()))
 
+    # a resample is a count vector over the bin ids and, in 1-D, emp's atoms
     tv_samples = []
     w2_samples = []
-    n = ens.n_paths
     for _ in range(n_bootstrap):
         take = rng.choice(n, size=n, replace=True)
-        jb = binned_joint(ens.initial[take], ens.terminal[take], radius, bins)
-        tv_samples.append(tv_distance(jb, plan_bins))
+        tv_samples.append(tv_distance(np.bincount(ids[take], minlength=len(plan_bins)) / n,
+                                      plan_bins))
         if ens.dim == 1:
-            w2_samples.append(w2_distance_1d(empirical_measure(ens.terminal[take]), target))
+            mass = np.bincount(atom[take], minlength=emp.support.n_points) / n
+            w2_samples.append(w2_distance_1d(DiscreteMeasure(emp.support, mass), target))
     tv_err = float(np.std(tv_samples)) if tv_samples else math.nan
     w2_err = float(np.std(w2_samples)) if w2_samples else math.nan
 
@@ -309,16 +314,9 @@ def initial_chi_square(ens: PathEnsemble, p0: Density):
     (statistic, degrees_of_freedom).
     """
     bins = 20
-    edges = _bin_edges(p0.support.bounding_radius, bins)
-    d = p0.support.dim
-    idx = np.zeros(ens.n_paths, dtype=np.int64)
-    for axis in range(d):
-        idx = idx * bins + _bin_index(ens.initial[:, axis], edges)
-    counts = np.bincount(idx, minlength=bins**d).astype(float)
-    probs = np.zeros(bins**d)
-    w = p0.values * p0.support.cell_volumes
-    for k, f in _cell_bin_split(p0.support, edges):
-        np.add.at(probs, k, w * f)
+    radius = p0.support.bounding_radius
+    counts = np.bincount(_bin_ids(ens.initial, radius, bins), minlength=bins**p0.support.dim)
+    probs = _overlap_matrix(p0.support, radius, bins).T @ (p0.values * p0.support.cell_volumes)
     probs = probs / probs.sum()
     keep = probs * ens.n_paths >= 5.0
     expected = probs[keep] * ens.n_paths

@@ -172,8 +172,6 @@ def fixed_point_step(p: Density, p1: Density, eps, r) -> Density:
     """
     if p.support.radii().max() > r * (1 + 1e-9):
         raise ValueError("iterate support must lie inside B_r")
-    if eps <= 0:
-        raise ValueError("eps must be positive")
     kernel = GaussianHeatKernel(source=p.support, target=p1.support, t=1.0, eps=eps)
     out, _ = _step(p, p1, kernel)
     return out

@@ -254,7 +254,7 @@ def run_convergence(base, fam: PerturbationFamily, probes, m,
     return ConvergenceReport(rows=tuple(rows))
 
 
-def semiconvexity_constant(q: KernelSpec, r) -> float:
+def semiconvexity_constant(q: KernelSpec) -> float:
     """Smallest C >= 0 making C|x|^2 + log q(x, y) convex in each variable.
 
     The analytic heat kernel gives exactly 1 / (2 eps t). Dense kernels

@@ -166,7 +166,7 @@ def test_acceptance_05_bridge_endpoints():
     p0 = gaussian_density(g, 0.36)
     p1 = gaussian_density(g, 1.0)
     rep = control_value(p0, p1, eps)
-    ens = simulate(p0, rep.solution, eps, n_paths, n_steps, seed)
+    ens = simulate(p0, rep.solution, n_paths, n_steps, seed)
     diag = endpoint_diagnostics(ens, rep.solution, p1, bins=50)
 
     target = p1.to_measure().normalized()
@@ -227,7 +227,7 @@ def test_acceptance_06_stability_ladders():
 def test_acceptance_07_supnorm_stability():
     base = _stability_base()
     q, mu1, mu2 = base
-    c_r = semiconvexity_constant(q, 2.0)
+    c_r = semiconvexity_constant(q)
     fam = make_family(q, mu1, mu2, "marginal_mollification",
                       {"index_set": [2, 4, 8, 16], "bandwidth": 0.5})
     rep = run_convergence(base, fam, [(5, 17), (20, 20), (33, 8)], m=2, r_prime=1.8)

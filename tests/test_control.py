@@ -36,6 +36,13 @@ class TestControlValue:
         # identical marginals need little steering when the noise is small
         assert control_value(p, p, eps=0.05).value < 0.05
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_eps(self, fine_grid, eps):
+        # the heat kernel's own check is the only one
+        p = gaussian_density(fine_grid, 0.5)
+        with pytest.raises(ValueError, match="eps > 0"):
+            control_value(p, p, eps=eps)
+
     def test_three_forms_agree(self, fine_grid):
         p0 = gaussian_density(fine_grid, 0.25)
         p1 = gaussian_density(fine_grid, 0.5)

@@ -308,6 +308,8 @@ _BRIDGE = "p0 = gaussian:0,0.5\np1 = gaussian:0,1\neps = 0.5\nn_paths = 20\nn_st
     ("solve", "mu1 = gaussian:0,0\nmu2 = gaussian:0,1\nkernel = gaussian:1\n",
      _GRID, "variance must be finite and > 0"),
     ("bridge", _BRIDGE + "bins = 0\n", _GRID + ["--seed", "1"], "bins >= 1"),
+    ("bridge", _BRIDGE + "n_paths = 0\n", _GRID + ["--seed", "1"], "n_paths >= 1"),
+    ("bridge", _BRIDGE + "n_steps = 1\n", _GRID + ["--seed", "1"], "n_steps >= 2"),
     ("moment", "p1 = gaussian:0,1\nr = 2.0\ntol = 0\n", _GRID, "tol > 0"),
     ("moment", "p1 = gaussian:0,1\nr = 2.0\ntol = -1\n", _GRID, "tol > 0"),
     ("solve", "mu1 = gaussian:0,1\nmu2 = gaussian:0,1\nkernel = gaussian:1\n",
@@ -336,7 +338,8 @@ _BRIDGE = "p0 = gaussian:0,0.5\np1 = gaussian:0,1\neps = 0.5\nn_paths = 20\nn_st
     ("stability", "mu1 = gaussian:0,1\nmu2 = gaussian:0,1\n"
      "family = marginal_mollification\nindex_set = 2\nbandwidth = 0\n",
      _GRID + ["--seed", "1"], "bandwidth must be finite and > 0"),
-], ids=["negative_variance", "zero_variance", "zero_bins", "moment_tol_zero",
+], ids=["negative_variance", "zero_variance", "zero_bins", "n_paths_zero",
+        "n_steps_one", "moment_tol_zero",
         "moment_tol_negative", "solve_tol_nan", "solve_eps_nan", "no_probes",
         "r_prime_nan", "r_prime_empty_ball", "r_prime_zero", "schedule_nan",
         "control_eps_nan", "bandwidth_negative", "bandwidth_zero"])

@@ -60,6 +60,12 @@ class TestFixedPointStep:
         with pytest.raises(ValueError, match="B_r"):
             fixed_point_step(p, std_normal, 0.5, 2.0)
 
+    @pytest.mark.parametrize("eps", [0.0, -1.0, math.nan, math.inf])
+    def test_rejects_bad_eps(self, grid_r4, std_normal, eps):
+        # the heat kernel's own check is the only one
+        with pytest.raises(ValueError, match="eps > 0"):
+            fixed_point_step(uniform_density(grid_r4), std_normal, eps, 4.0)
+
 
 class TestSolveFixedPoint:
     def test_converges_and_objective_below_uniform_bound(self, grid_r4, std_normal):

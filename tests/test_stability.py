@@ -181,18 +181,18 @@ class TestPotentialSumGauge:
 class TestSemiconvexity:
     def test_heat_kernel_exact(self, base_instance):
         q, _, _ = base_instance
-        assert semiconvexity_constant(q, 2.0) == pytest.approx(1.0 / (2 * 0.8))
+        assert semiconvexity_constant(q) == pytest.approx(1.0 / (2 * 0.8))
 
     def test_constant_kernel_zero(self):
         g = make_grid(1, 1.0, 11)
         q = DenseKernel(source=g, target=g, values=np.full((11, 11), 2.5))
-        assert semiconvexity_constant(q, 1.0) == 0.0
+        assert semiconvexity_constant(q) == 0.0
 
     def test_sine_product_kernel(self):
         g = make_grid(1, math.pi, 81)
         s = np.sin(g.points[:, 0])
         q = DenseKernel(source=g, target=g, values=np.exp(np.outer(s, s)))
-        assert semiconvexity_constant(q, math.pi) == pytest.approx(0.5, abs=0.05)
+        assert semiconvexity_constant(q) == pytest.approx(0.5, abs=0.05)
 
 
 class TestSupnormConvergence:
