@@ -60,7 +60,6 @@ from .moment import (
 )
 from .stability import (
     ConvergenceReport,
-    PerturbationFamily,
     make_family,
     run_convergence,
     semiconvexity_constant,

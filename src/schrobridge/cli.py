@@ -220,8 +220,8 @@ def _cmd_bridge(run: _Run):
     rep = control_value(p0, p1, eps, **run.given(tol=float))
     if not rep.converged:
         raise NonConvergenceError("endpoint system did not converge")
-    ens = simulate(p0, rep.solution, n_paths, n_steps, seed, keep_full_paths=keep)
-    diag = endpoint_diagnostics(ens, rep.solution, p1, bins=bins)
+    ens = simulate(rep.solution, n_paths, n_steps, seed, keep_full_paths=keep)
+    diag = endpoint_diagnostics(ens, rep.solution, bins=bins)
     write_terminal_csv(run.path("terminal.csv"), ens)
     if keep:
         write_paths_binary(run.path("paths.bin"), ens)
@@ -275,14 +275,14 @@ def _cmd_stability(run: _Run):
     params = run.given(amplitude=float, bandwidth=float,
                        index_set=lambda v: [int(n) for n in v.split(",")])
     params["seed"] = run.seed() if kind == "marginal_empirical" else run.get("seed", int, 0)
-    fam = make_family(kernel, mu1, mu2, kind, params)
+    family = make_family(kernel, mu1, mu2, kind, **params)
     n_probe = run.get("n_probes", int, 3)
     rng = np.random.Generator(np.random.Philox(key=params["seed"]))
     probes = [(int(rng.integers(mu1.support.n_points)),
                int(rng.integers(mu2.support.n_points))) for _ in range(n_probe)]
     m = run.get("m", int, int(math.ceil(max(mu1.support.bounding_radius,
                                             mu2.support.bounding_radius))))
-    report = run_convergence((kernel, mu1, mu2), fam, probes, m,
+    report = run_convergence((kernel, mu1, mu2), family, probes, m,
                              **run.given(tol=float, r_prime=float))
     write_csv(run.path("stability.csv"),
               ["n", "plan_bl", "product_gap", "potential_gap", "supnorm_gap"],

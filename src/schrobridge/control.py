@@ -20,7 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Density, GaussianHeatKernel, Support, entropy
-from .solver import SchroedingerSolution, plan_matrix, solve_schrodinger
+from .solver import SchroedingerSolution, _bandwidth, plan_matrix, solve_schrodinger
 
 _BALL_VOLUME_COEFF = {1: 2.0, 2: math.pi}
 
@@ -147,23 +147,23 @@ def free_energy_objective(p: Density, p1: Density, eps, r) -> float:
     """
     if np.any((p.values > 0) & (p.support.radii() > r * (1 + 1e-9))):
         raise ValueError("candidate density has mass outside B_r")
-    report = control_value(p, p1, eps)
-    return entropy(p) - eps * report.value + 0.5 * second_moment(p)
+    return objective_from_solution(control_value(p, p1, eps).solution, p, p1)
 
 
-def objective_from_solution(sol: SchroedingerSolution, p: Density, p1: Density, eps) -> float:
-    """Same objective, reusing an existing solve for (p, p1)."""
+def objective_from_solution(sol: SchroedingerSolution, p: Density, p1: Density) -> float:
+    """Same objective from an existing solve for (p, p1); eps is eps * t of sol's heat kernel."""
     report = report_from_solution(sol, p1)
-    return entropy(p) - eps * report.value + 0.5 * second_moment(p)
+    return entropy(p) - _bandwidth(sol) * report.value + 0.5 * second_moment(p)
 
 
-def free_energy_upper_bound(p1: Density | None, eps, r, support: Support | None = None) -> float:
+def free_energy_upper_bound(p1: Density | None, r, support: Support | None = None) -> float:
     """Uniform-candidate bound -log Vol(B_r) + 0.5 * mean of |x|^2 over B_r.
 
     With a grid support the bound uses the grid's total cell volume and
     midpoint quadrature, making it exactly the objective of the uniform
     density on that grid with the control term dropped. Without a support
-    the closed-form ball volume is used. Independent of eps and p1.
+    the closed-form ball volume is used. Independent of p1 and of the noise
+    level eps.
     """
     if support is not None:
         vol = support.total_volume

@@ -397,11 +397,9 @@ def entropy(p) -> float:
     return float(np.sum(v[mask] * np.log(v[mask]) * vol[mask]))
 
 
-def relative_entropy(m: DiscreteMeasure, n: DiscreteMeasure) -> float:
-    """H(m | n) = sum m_i log(m_i / n_i); +inf unless m << n."""
-    if m.support.n_points != n.support.n_points:
-        raise ValueError("measures must share a support")
-    a, b = m.weights, n.weights
+def relative_entropy(a, b) -> float:
+    """H(a | b) = sum a_i log(a_i / b_i) of two weight vectors; +inf unless a << b."""
+    a, b = np.asarray(a, dtype=float), np.asarray(b, dtype=float)
     pos = a > 0
     if np.any(b[pos] == 0):
         return math.inf

@@ -7,6 +7,7 @@ potential against the solve's terminal factor nu2. As a law on paths it is
 the mixture of Brownian bridges over the plan, so endpoints are drawn from
 the plan's conditional laws with no time stepping. Endpoint marginals and
 the joint endpoint law are verified against the identically binned plan.
+A function given the solve reads the laws and the kernel from it alone.
 """
 from __future__ import annotations
 
@@ -20,7 +21,6 @@ from .core import (
     W2_ORACLE_CAP,
     Density,
     DiscreteMeasure,
-    GaussianHeatKernel,
     Support,
     bl_distance,
     empirical_measure,
@@ -30,7 +30,7 @@ from .core import (
     w2_distance,
     w2_distance_1d,
 )
-from .solver import SchroedingerSolution, plan_matrix
+from .solver import SchroedingerSolution, _bandwidth, plan_matrix
 
 _DRIFT_CHUNK = 4_000_000  # max entries of the (paths x atoms) logit block
 
@@ -72,13 +72,6 @@ def _softmax_blocks(x, sol: SchroedingerSolution, bw):
         np.exp(w, out=w)
         w /= w.sum(axis=1, keepdims=True)
         yield rows, diff, w
-
-
-def _bandwidth(sol: SchroedingerSolution):
-    """The bridge's variance per unit time: eps * t of sol's heat kernel."""
-    if not isinstance(sol.kernel, GaussianHeatKernel):
-        raise TypeError("the h-path bridge needs a heat kernel")
-    return sol.kernel.eps * sol.kernel.t
 
 
 def drift(t, x, sol: SchroedingerSolution):
@@ -141,16 +134,17 @@ def check_path_counts(n_paths, n_steps):
         raise ValueError("need n_steps >= 2 and n_paths >= 1")
 
 
-def simulate(p0: Density, sol: SchroedingerSolution, n_paths, n_steps,
-             seed, keep_full_paths=False) -> PathEnsemble:
+def simulate(sol: SchroedingerSolution, n_paths, n_steps, seed,
+             keep_full_paths=False) -> PathEnsemble:
     """Exact bridge sampling as the plan mixture of Brownian bridges (Leonard 2014).
 
-    With bw = eps * t of sol's heat kernel (TypeError for other kernels): X0 ~ p0;
-    the atom given X0 = x by inverting softmax_j(-|y_j - x|^2 / (2 bw) + log nu2_j)
-    at one uniform; X1 uniform in that atom's cell (the step-density reading of
-    ``binned_plan``). Full paths are Brownian bridges of variance bw per unit time
-    from X0 to X1, drawn after X1 so the terminal points do not depend on
-    keep_full_paths. Identical inputs and seed give a bit-identical ensemble.
+    With bw = eps * t of sol's heat kernel (TypeError for other kernels): X0 from
+    sol.mu1 read as a step density; the atom given X0 = x by inverting
+    softmax_j(-|y_j - x|^2 / (2 bw) + log nu2_j) at one uniform; X1 uniform in
+    that atom's cell (the step-density reading of ``binned_plan``). Full paths
+    are Brownian bridges of variance bw per unit time from X0 to X1, drawn
+    after X1 so the terminal points do not depend on keep_full_paths.
+    Identical inputs and seed give a bit-identical ensemble.
     """
     check_path_counts(n_paths, n_steps)
     if seed is None:
@@ -158,7 +152,7 @@ def simulate(p0: Density, sol: SchroedingerSolution, n_paths, n_steps,
     bw = _bandwidth(sol)
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
     times = np.linspace(0.0, 1.0, n_steps + 1)
-    initial = sample_density(p0, n_paths, rng)
+    initial = sample_density(Density.from_measure(sol.mu1), n_paths, rng)
     u = rng.random(n_paths)
     atom = np.empty(n_paths, dtype=np.int64)
     for rows, _, w in _softmax_blocks(initial, sol, bw):
@@ -167,7 +161,7 @@ def simulate(p0: Density, sol: SchroedingerSolution, n_paths, n_steps,
     terminal = _in_cells(sol.mu2.support, atom, rng)
     paths = None
     if keep_full_paths:
-        paths = np.empty((n_paths, n_steps + 1, p0.support.dim))
+        paths = np.empty((n_paths, n_steps + 1, initial.shape[1]))
         paths[:, 0, :] = x = initial
         for k in range(1, n_steps):
             s, t = times[k - 1], times[k]
@@ -245,9 +239,9 @@ class EndpointReport:
     bins: int
 
 
-def endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution, p1: Density,
+def endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution,
                          bins=50, n_bootstrap=20) -> EndpointReport:
-    """Compare simulated endpoints with the target law and the plan.
+    """Compare simulated endpoints with the target law sol.mu2 and the plan.
 
     Terminal law: bounded-Lipschitz distance on the full empirical measure,
     exact transport distance on seeded subsamples (and the full quantile
@@ -259,7 +253,7 @@ def endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution, p1: Densi
     if not bins >= 1:
         raise ValueError("need bins >= 1")
     rng = np.random.Generator(np.random.Philox(key=ens.seed + 0x9E3779B9))
-    target = p1.to_measure().normalized()
+    target = sol.mu2.normalized()
     emp = empirical_measure(ens.terminal)
     bl_term = bl_distance(emp, target)
 
@@ -281,10 +275,7 @@ def endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution, p1: Densi
     ids = _bin_ids(np.hstack([ens.initial, ens.terminal]), radius, bins)
     joint = np.bincount(ids, minlength=len(plan_bins)) / n
     tv = tv_distance(joint, plan_bins)
-    bin_sup = Support(points=np.arange(len(plan_bins), dtype=float)[:, None],
-                      cell_volumes=np.ones(len(plan_bins)), bounding_radius=float(len(plan_bins)))
-    kl = relative_entropy(DiscreteMeasure(bin_sup, joint, is_probability=True),
-                          DiscreteMeasure(bin_sup, plan_bins / plan_bins.sum()))
+    kl = relative_entropy(joint, plan_bins / plan_bins.sum())
 
     # a resample is a count vector over the bin ids and, in 1-D, emp's atoms
     tv_samples = []
@@ -305,8 +296,8 @@ def endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution, p1: Densi
         n_paths=ens.n_paths, bins=bins)
 
 
-def initial_chi_square(ens: PathEnsemble, p0: Density):
-    """Chi-square statistic of the initial states against P0, with dof.
+def initial_chi_square(ens: PathEnsemble, sol: SchroedingerSolution):
+    """Chi-square statistic of the initial states against sol.mu1, with dof.
 
     Bins the first time slice, 20 bins per axis over the support's
     bounding box, and compares counts with the exact step-density bin
@@ -314,9 +305,10 @@ def initial_chi_square(ens: PathEnsemble, p0: Density):
     (statistic, degrees_of_freedom).
     """
     bins = 20
-    radius = p0.support.bounding_radius
-    counts = np.bincount(_bin_ids(ens.initial, radius, bins), minlength=bins**p0.support.dim)
-    probs = _overlap_matrix(p0.support, radius, bins).T @ (p0.values * p0.support.cell_volumes)
+    support = sol.mu1.support
+    radius = support.bounding_radius
+    counts = np.bincount(_bin_ids(ens.initial, radius, bins), minlength=bins**support.dim)
+    probs = _overlap_matrix(support, radius, bins).T @ sol.mu1.weights
     probs = probs / probs.sum()
     keep = probs * ens.n_paths >= 5.0
     expected = probs[keep] * ens.n_paths

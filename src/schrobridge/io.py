@@ -16,6 +16,7 @@ import math
 import numpy as np
 
 from .core import DenseKernel, Density, DiscreteMeasure, Support
+from .solver import plan_matrix
 
 
 _FLOAT_SPEC = ".17g"  # the one float format of every artifact
@@ -189,8 +190,6 @@ def solution_payload(sol):
 
 
 def write_plan_csv(path, sol):
-    from .solver import plan_matrix
-
     plan = plan_matrix(sol)
     cols = [f"{j}," for j in range(plan.shape[1])]
     with open(path, "w") as fh:

@@ -31,7 +31,7 @@ from .core import (
     w2_distance_1d,
 )
 from .control import objective_from_solution
-from .solver import SchroedingerSolution, solve_schrodinger
+from .solver import SchroedingerSolution, potential_at, solve_schrodinger
 
 DEFAULT_DAMPING = 0.5
 DEFAULT_EPS_SCHEDULE = tuple(2.0 ** (-k) for k in range(8))
@@ -228,7 +228,7 @@ def solve_fixed_point(p1: Density, eps, r, damping=DEFAULT_DAMPING, tol=1e-9,
     # damped mix was appended after it.
     return FixedPointTrace(
         eps=float(eps), iterates=tuple(iterates),
-        objective=objective_from_solution(sol, iterates[-2], p1, eps),
+        objective=objective_from_solution(sol, iterates[-2], p1),
         converged=converged, residual=residual, final_solution=sol)
 
 
@@ -245,8 +245,6 @@ def jensen_gap(trace: FixedPointTrace) -> float:
     Nonnegative for the convex target-side profile; evaluated off-grid at
     the exact barycenter through the analytic kernel.
     """
-    from .solver import potential_at
-
     sol = trace.final_solution
     p1w = sol.mu2.weights
     pts = sol.mu2.support.points

@@ -13,6 +13,7 @@ individually and makes the two-sided kernel bounds on exp(u_i) valid.
 """
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -43,11 +44,10 @@ class SchroedingerSolution:
 
     Attributes
     ----------
-    nu1, nu2 : DiscreteMeasure
-        The (finite, generally non-probability) factor measures.
     log_nu1, log_nu2 : arrays
-        Exact log weights; kept because weights may underflow for sharp
-        kernels. ``nu_i.weights == exp(log_nu_i)`` up to underflow.
+        Exact log weights of the factors; the weights may underflow for
+        sharp kernels. The factor measures ``nu1``, ``nu2`` (finite,
+        generally non-probability) are exp(log_nu_i), computed on first use.
     u1, u2 : arrays
         Log-potentials: exp(u1[i]) = sum_j q_ij nu2_j and symmetrically.
     scale_C : float
@@ -63,8 +63,6 @@ class SchroedingerSolution:
     kernel: KernelSpec
     mu1: DiscreteMeasure
     mu2: DiscreteMeasure
-    nu1: DiscreteMeasure
-    nu2: DiscreteMeasure
     log_nu1: np.ndarray
     log_nu2: np.ndarray
     u1: np.ndarray
@@ -73,6 +71,14 @@ class SchroedingerSolution:
     iterations: int
     final_residual: float
     converged: bool
+
+    @functools.cached_property
+    def nu1(self) -> DiscreteMeasure:
+        return DiscreteMeasure(self.mu1.support, np.exp(self.log_nu1))
+
+    @functools.cached_property
+    def nu2(self) -> DiscreteMeasure:
+        return DiscreteMeasure(self.mu2.support, np.exp(self.log_nu2))
 
     def log_plan(self):
         """Log of the plan matrix nu1_i q_ij nu2_j."""
@@ -209,8 +215,6 @@ def solve_schrodinger(
         kernel=q,
         mu1=mu1,
         mu2=mu2,
-        nu1=DiscreteMeasure(mu1.support, np.exp(a)),
-        nu2=DiscreteMeasure(mu2.support, np.exp(b)),
         log_nu1=a,
         log_nu2=b,
         u1=u1,
@@ -232,8 +236,6 @@ def rescaled(sol: SchroedingerSolution, c) -> SchroedingerSolution:
     log_c = math.log(c)
     return replace(
         sol,
-        nu1=DiscreteMeasure(sol.nu1.support, sol.nu1.weights * c),
-        nu2=DiscreteMeasure(sol.nu2.support, sol.nu2.weights / c),
         log_nu1=sol.log_nu1 + log_c,
         log_nu2=sol.log_nu2 - log_c,
         u1=sol.u1 - log_c,
@@ -270,6 +272,13 @@ def truncated_potentials(sol: SchroedingerSolution, m):
     u1m = logsumexp(logk + (sol.log_nu2 + logphi_t)[None, :], axis=1)
     u2m = logsumexp(logk + (sol.log_nu1 + logphi_s)[:, None], axis=0)
     return u1m, u2m
+
+
+def _bandwidth(sol: SchroedingerSolution):
+    """eps * t of sol's heat kernel (the bridge's variance per unit time); TypeError otherwise."""
+    if not isinstance(sol.kernel, GaussianHeatKernel):
+        raise TypeError("eps * t needs a heat kernel")
+    return sol.kernel.eps * sol.kernel.t
 
 
 def potential_at(sol: SchroedingerSolution, points, side=1):

@@ -40,23 +40,6 @@ def _smooth_wiggle(source, target):
     return np.outer(sx, ty)
 
 
-@dataclass(frozen=True)
-class PerturbationFamily:
-    """Materialized perturbed instances q_n, mu1_n, mu2_n indexed by n."""
-
-    index_set: tuple
-    kernels: tuple
-    mu1s: tuple
-    mu2s: tuple
-    kernel_sup_gaps: tuple
-
-    def member(self, position):
-        return self.kernels[position], self.mu1s[position], self.mu2s[position]
-
-    def __len__(self):
-        return len(self.index_set)
-
-
 def _mollified(mu: DiscreteMeasure, bandwidth) -> DiscreteMeasure:
     """Gaussian-smoothed weights, re-gridded mass-preservingly."""
     pts = mu.support.points
@@ -76,9 +59,10 @@ def _empirical(mu: DiscreteMeasure, n_samples, seed_key) -> DiscreteMeasure:
     return DiscreteMeasure(mu.support, counts / counts.sum(), is_probability=True)
 
 
-def make_family(base_q: KernelSpec, base_mu1: DiscreteMeasure,
-                base_mu2: DiscreteMeasure, kind, params=None) -> PerturbationFamily:
-    """Build a perturbation family around a base instance.
+def make_family(base_q: KernelSpec, base_mu1: DiscreteMeasure, base_mu2: DiscreteMeasure,
+                kind, *, index_set=(4, 8, 16, 32, 64), amplitude=1.0, bandwidth=0.5,
+                seed=0):
+    """Build a perturbation family around a base instance: a tuple of (n, q_n, mu1_n, mu2_n).
 
     kind = "kernel_perturbation": log q_n = log q + amplitude / n * psi with
     the fixed smooth profile psi, built from log entries so that no entry
@@ -88,51 +72,26 @@ def make_family(base_q: KernelSpec, base_mu1: DiscreteMeasure,
     kind = "marginal_empirical": both marginals replaced by n seeded
     samples projected to the grid (the index is the sample count).
     """
-    params = dict(params or {})
-    raw_index = tuple(params.pop("index_set", (4, 8, 16, 32, 64)))
-    amplitude = float(params.pop("amplitude", 1.0))
-    bandwidth = float(params.pop("bandwidth", 0.5))
-    seed = int(params.pop("seed", 0))
-    if params:
-        raise ValueError(f"unknown family parameters: {sorted(params)}")
-    if not all(float(n).is_integer() and n > 0 for n in raw_index):
+    if not all(float(n).is_integer() and n > 0 for n in index_set):
         raise ValueError("family indices must be positive integers")
-    index_set = tuple(int(n) for n in raw_index)
+    index_set = tuple(int(n) for n in index_set)
     if not math.isfinite(amplitude):
         raise ValueError("amplitude must be finite")
     if not 0 < bandwidth < math.inf:
         raise ValueError("bandwidth must be finite and > 0")
-
-    kernels, mu1s, mu2s, gaps = [], [], [], []
     if kind == "kernel_perturbation":
         psi = _smooth_wiggle(base_q.source, base_q.target)
         logq = log_eval_kernel(base_q)
-        base_k = np.exp(logq)
-        for n in index_set:
-            qn = DenseKernel.from_log(base_q.source, base_q.target,
-                                      logq + (amplitude / n) * psi)
-            kernels.append(qn)
-            mu1s.append(base_mu1)
-            mu2s.append(base_mu2)
-            gaps.append(float(np.abs(qn.values - base_k).max()))
-    elif kind == "marginal_mollification":
-        for n in index_set:
-            bw = bandwidth / n
-            mu1s.append(_mollified(base_mu1, bw))
-            mu2s.append(_mollified(base_mu2, bw))
-            kernels.append(base_q)
-            gaps.append(0.0)
-    elif kind == "marginal_empirical":
-        for n in index_set:
-            mu1s.append(_empirical(base_mu1, n, [seed, n, 1]))
-            mu2s.append(_empirical(base_mu2, n, [seed, n, 2]))
-            kernels.append(base_q)
-            gaps.append(0.0)
-    else:
-        raise ValueError(f"unknown family kind {kind!r}")
-    return PerturbationFamily(
-        index_set=index_set, kernels=tuple(kernels), mu1s=tuple(mu1s),
-        mu2s=tuple(mu2s), kernel_sup_gaps=tuple(gaps))
+        return tuple((n, DenseKernel.from_log(base_q.source, base_q.target,
+                                              logq + (amplitude / n) * psi),
+                      base_mu1, base_mu2) for n in index_set)
+    if kind == "marginal_mollification":
+        return tuple((n, base_q, _mollified(base_mu1, bandwidth / n),
+                      _mollified(base_mu2, bandwidth / n)) for n in index_set)
+    if kind == "marginal_empirical":
+        return tuple((n, base_q, _empirical(base_mu1, n, [seed, n, 1]),
+                      _empirical(base_mu2, n, [seed, n, 2])) for n in index_set)
+    raise ValueError(f"unknown family kind {kind!r}")
 
 
 @dataclass(frozen=True)
@@ -200,10 +159,10 @@ def _supnorm_gap(sol_a, sol_b, in_s, in_t):
             + float(np.abs(sol_b.u2 - sol_a.u2)[in_t].max()))
 
 
-def run_convergence(base, fam: PerturbationFamily, probes, m,
+def run_convergence(base, family, probes, m,
                     tol=1e-12, max_iters=20000, r_prime=None,
                     probe_shift=0.25) -> ConvergenceReport:
-    """Solve every family member and report its distance to the base solution.
+    """Solve every family member (n, q_n, mu1_n, mu2_n) and report its distance to the base.
 
     Per index n: bounded-Lipschitz distance of plans; dictionary gap of the
     product factor measures; worst probe gap of the truncated potential
@@ -234,8 +193,7 @@ def run_convergence(base, fam: PerturbationFamily, probes, m,
     shift_dir = np.zeros(source.dim)
     shift_dir[0] = 1.0
     rows = []
-    for pos, n in enumerate(fam.index_set):
-        qn, m1n, m2n = fam.member(pos)
+    for n, qn, m1n, m2n in family:
         try:
             sol = solve_schrodinger(qn, m1n, m2n, tol=tol, max_iters=max_iters)
             if not sol.converged:

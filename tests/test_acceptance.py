@@ -166,8 +166,8 @@ def test_acceptance_05_bridge_endpoints():
     p0 = gaussian_density(g, 0.36)
     p1 = gaussian_density(g, 1.0)
     rep = control_value(p0, p1, eps)
-    ens = simulate(p0, rep.solution, n_paths, n_steps, seed)
-    diag = endpoint_diagnostics(ens, rep.solution, p1, bins=50)
+    ens = simulate(rep.solution, n_paths, n_steps, seed)
+    diag = endpoint_diagnostics(ens, rep.solution, bins=50)
 
     target = p1.to_measure().normalized()
     floors = []
@@ -204,14 +204,13 @@ def test_acceptance_06_stability_ladders():
     q, mu1, mu2 = base
     probes = [(5, 17), (20, 20), (33, 8)]
     fam = make_family(q, mu1, mu2, "kernel_perturbation",
-                      {"index_set": [4, 8, 16, 32, 64], "amplitude": 1.0})
+                      index_set=[4, 8, 16, 32, 64], amplitude=1.0)
     rep = run_convergence(base, fam, probes, m=2)
     ratios = {metric: rep.trend(metric)[2]
               for metric in ("plan_bl", "product_gap", "potential_gap")}
     ok_trend = all(r <= 0.25 for r in ratios.values())
 
-    zero = make_family(q, mu1, mu2, "kernel_perturbation",
-                       {"index_set": [4, 64], "amplitude": 0.0})
+    zero = make_family(q, mu1, mu2, "kernel_perturbation", index_set=[4, 64], amplitude=0.0)
     zrep = run_convergence(base, zero, probes, m=2, probe_shift=0.0, tol=1e-12)
     ok_zero = all(max(r.plan_bl, r.product_gap, r.potential_gap) <= 2e-12
                   for r in zrep.rows)
@@ -229,7 +228,7 @@ def test_acceptance_07_supnorm_stability():
     q, mu1, mu2 = base
     c_r = semiconvexity_constant(q)
     fam = make_family(q, mu1, mu2, "marginal_mollification",
-                      {"index_set": [2, 4, 8, 16], "bandwidth": 0.5})
+                      index_set=[2, 4, 8, 16], bandwidth=0.5)
     rep = run_convergence(base, fam, [(5, 17), (20, 20), (33, 8)], m=2, r_prime=1.8)
     final_gap = rep.rows[-1].supnorm_gap
     ok = (all(row.solved for row in rep.rows)
@@ -252,7 +251,7 @@ def test_acceptance_08_moment_measure_gaussian():
     mask = np.abs(x) <= 2.0
     diff = (res.u_bar - 0.5 * x**2)[mask]
     sup_gap = 0.5 * (diff.max() - diff.min())   # optimal additive gauge
-    bound = free_energy_upper_bound(p1, 1.0, 4.0, support=g)
+    bound = free_energy_upper_bound(p1, 4.0, support=g)
     objectives_ok = all(row["objective"] <= bound for row in res.diagnostics)
     ok = (sup_gap <= 0.05 and res.pushforward_error <= 0.02
           and res.convexity_defect <= 1e-6 and objectives_ok)

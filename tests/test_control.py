@@ -118,22 +118,21 @@ class TestDualVariables:
 class TestFreeEnergy:
     def test_upper_bound_1d_analytic(self):
         # -log 2 + 1/6 for the unit interval ball
-        bound = free_energy_upper_bound(None, eps=0.5, r=1.0)
+        bound = free_energy_upper_bound(None, r=1.0)
         assert bound == pytest.approx(-math.log(2) + 1 / 6, abs=1e-12)
         assert bound == pytest.approx(-0.52648, abs=1e-5)
 
     def test_upper_bound_2d_analytic(self):
         g = make_grid(2, 1.0, 5)
         p1 = gaussian_density(g, 0.5)
-        bound = free_energy_upper_bound(p1, eps=1.0, r=1.0)
+        bound = free_energy_upper_bound(p1, r=1.0)
         assert bound == pytest.approx(-math.log(math.pi) + 0.25, abs=1e-12)
 
-    def test_bound_independent_of_eps_and_target(self):
+    def test_bound_independent_of_target(self):
         g = make_grid(1, 2.0, 30)
         pa = gaussian_density(g, 0.3)
         pb = gaussian_density(g, 1.5)
-        vals = {free_energy_upper_bound(p, eps, 2.0, support=g)
-                for p in (pa, pb) for eps in (0.1, 1.0, 10.0)}
+        vals = {free_energy_upper_bound(p, 2.0, support=g) for p in (pa, pb)}
         assert len(vals) == 1
 
     def test_uniform_candidate_realizes_grid_bound(self):
@@ -143,14 +142,14 @@ class TestFreeEnergy:
 
         no_control = entropy(uni) + 0.5 * second_moment(uni)
         assert no_control == pytest.approx(
-            free_energy_upper_bound(None, 1.0, 1.0, support=g), abs=1e-12)
+            free_energy_upper_bound(None, 1.0, support=g), abs=1e-12)
 
     def test_objective_below_bound_for_uniform(self):
         g = make_grid(1, 1.0, 50)
         uni = Density(g, np.full(50, 1.0 / g.total_volume), is_probability=True)
         p1 = gaussian_density(g, 0.4)
         obj = free_energy_objective(uni, p1, eps=0.5, r=1.0)
-        assert obj <= free_energy_upper_bound(p1, 0.5, 1.0, support=g) + 1e-12
+        assert obj <= free_energy_upper_bound(p1, 1.0, support=g) + 1e-12
 
     def test_support_outside_ball_rejected(self):
         g = make_grid(1, 2.0, 30)

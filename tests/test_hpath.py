@@ -39,12 +39,12 @@ from schrobridge.solver import SchroedingerSolution, plan_matrix
 from conftest import gaussian_density
 
 
-def euler_maruyama_reference(p0: Density, sol: SchroedingerSolution, n_paths, n_steps,
-                             seed, keep_full_paths=False) -> PathEnsemble:
+def euler_maruyama_reference(sol: SchroedingerSolution, n_paths, n_steps, seed,
+                             keep_full_paths=False) -> PathEnsemble:
     """Reference: the Euler-Maruyama loop ``simulate`` ran before exact sampling.
 
-    X_{k+1} = X_k + drift(t_k, X_k) dt + sqrt(s dt) xi_k with seeded noise,
-    s = eps * t of sol's heat kernel; drift times are clamped to
+    X_0 from sol.mu1, then X_{k+1} = X_k + drift(t_k, X_k) dt + sqrt(s dt) xi_k
+    with seeded noise, s = eps * t of sol's heat kernel; drift times are clamped to
     1 - 1/n_steps so the final jump avoids the bridge singularity. Identical
     inputs and seed give a bit-identical ensemble.
     """
@@ -53,11 +53,11 @@ def euler_maruyama_reference(p0: Density, sol: SchroedingerSolution, n_paths, n_
     if seed is None:
         raise ValueError("a seed is mandatory for simulation")
     rng = np.random.Generator(np.random.Philox(key=int(seed)))
-    d = p0.support.dim
+    d = sol.mu1.support.dim
     times = np.linspace(0.0, 1.0, n_steps + 1)
     dt = 1.0 / n_steps
     t_cap = 1.0 - dt
-    x = sample_density(p0, n_paths, rng)
+    x = sample_density(Density.from_measure(sol.mu1), n_paths, rng)
     initial = x.copy()
     paths = None
     if keep_full_paths:
@@ -165,10 +165,7 @@ def reference_endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution,
     plan_bins = plan_binning(sol, radius, bins)
     joint = reference_binned_joint(ens.initial, ens.terminal, radius, bins)
     tv = tv_distance(joint, plan_bins)
-    bin_sup = Support(points=np.arange(len(plan_bins), dtype=float)[:, None],
-                      cell_volumes=np.ones(len(plan_bins)), bounding_radius=float(len(plan_bins)))
-    kl = relative_entropy(DiscreteMeasure(bin_sup, joint, is_probability=True),
-                          DiscreteMeasure(bin_sup, plan_bins / plan_bins.sum()))
+    kl = relative_entropy(joint, plan_bins / plan_bins.sum())
 
     tv_samples = []
     w2_samples = []
@@ -189,7 +186,7 @@ def reference_endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution,
 
 
 def _atom_solution(atoms, eps):
-    """Synthetic solution whose terminal factor is equal mass on `atoms`."""
+    """Synthetic solution from the uniform law on make_grid(1, 2, 5) to equal mass on `atoms`."""
     src = make_grid(1, 2.0, 5)
     atoms = np.atleast_1d(np.asarray(atoms, dtype=float))
     tgt = Support(points=atoms[:, None], cell_volumes=np.ones(len(atoms)),
@@ -200,11 +197,9 @@ def _atom_solution(atoms, eps):
     mu1 = DiscreteMeasure(src, np.full(5, 0.2), is_probability=True)
     mu2 = DiscreteMeasure(tgt, np.full(len(atoms), 1.0 / len(atoms)),
                           is_probability=True)
-    nu2 = DiscreteMeasure(tgt, np.ones(len(atoms)))
-    nu1 = DiscreteMeasure(src, np.full(5, 0.2))
     return SchroedingerSolution(
-        kernel=kernel, mu1=mu1, mu2=mu2, nu1=nu1, nu2=nu2,
-        log_nu1=np.log(nu1.weights), log_nu2=np.zeros(len(atoms)),
+        kernel=kernel, mu1=mu1, mu2=mu2,
+        log_nu1=np.log(np.full(5, 0.2)), log_nu2=np.zeros(len(atoms)),
         u1=np.zeros(5), u2=np.zeros(len(atoms)), scale_C=1.0,
         iterations=0, final_residual=0.0, converged=True)
 
@@ -292,18 +287,18 @@ class TestSampleDensity:
 class TestSimulate:
     def test_deterministic_given_seed(self, bridge_setup):
         g, p0, _, sol = bridge_setup
-        a = simulate(p0, sol, 500, 40, seed=99)
-        b = simulate(p0, sol, 500, 40, seed=99)
+        a = simulate(sol, 500, 40, seed=99)
+        b = simulate(sol, 500, 40, seed=99)
         assert np.array_equal(a.initial, b.initial)
         assert np.array_equal(a.terminal, b.terminal)
         assert a.times[0] == 0.0 and a.times[-1] == 1.0
-        c = simulate(p0, sol, 500, 40, seed=100)
+        c = simulate(sol, 500, 40, seed=100)
         assert not np.array_equal(a.terminal, c.terminal)
 
     def test_full_path_storage_consistent(self, bridge_setup):
         g, p0, _, sol = bridge_setup
-        a = simulate(p0, sol, 200, 30, seed=3, keep_full_paths=True)
-        b = simulate(p0, sol, 200, 30, seed=3, keep_full_paths=False)
+        a = simulate(sol, 200, 30, seed=3, keep_full_paths=True)
+        b = simulate(sol, 200, 30, seed=3, keep_full_paths=False)
         assert a.paths.shape == (200, 31, 1)
         assert np.array_equal(a.paths[:, 0, :], a.initial)
         assert np.array_equal(a.paths[:, -1, :], a.terminal)
@@ -312,10 +307,8 @@ class TestSimulate:
     def test_bridge_to_atom_concentrates(self):
         eps = 0.01
         sol = _atom_solution(1.5, eps=eps)
-        g = make_grid(1, 2.0, 5)
-        p0 = Density(g, np.full(5, 1.0 / g.total_volume), is_probability=True)
         n_steps = 100
-        ens = euler_maruyama_reference(p0, sol, 2000, n_steps, seed=1)
+        ens = euler_maruyama_reference(sol, 2000, n_steps, seed=1)
         spread = np.abs(ens.terminal[:, 0] - 1.5)
         assert np.quantile(spread, 0.95) <= 5 * math.sqrt(eps / n_steps) + 0.05
 
@@ -330,7 +323,7 @@ class TestSimulate:
         w2_floor = np.mean([w2_distance_1d(empirical_measure(sample_density(p1, n, rng)),
                                            target) for _ in range(5)])
         for sampler in (simulate, euler_maruyama_reference):
-            ens = sampler(p0, sol, n, 100, seed=6)
+            ens = sampler(sol, n, 100, seed=6)
             tv = tv_distance(binned_joint(ens.initial, ens.terminal, radius, bins), plan)
             w2 = w2_distance_1d(empirical_measure(ens.terminal), target)
             assert tv <= 1.3 * tv_floor, sampler.__name__
@@ -339,7 +332,7 @@ class TestSimulate:
     def test_inner_times_are_brownian_bridges(self, bridge_setup):
         g, p0, _, sol = bridge_setup
         eps, n, n_steps = 0.5, 20_000, 10
-        ens = simulate(p0, sol, n, n_steps, seed=4, keep_full_paths=True)
+        ens = simulate(sol, n, n_steps, seed=4, keep_full_paths=True)
         k = n_steps // 2
         t = ens.times[k]
         assert t == 0.5
@@ -352,9 +345,7 @@ class TestSimulate:
         eps = 0.3
         atoms = np.array([-1.2, 0.3, 1.6])  # unit cells, pairwise disjoint
         sol = _atom_solution(atoms, eps=eps)
-        g = make_grid(1, 2.0, 5)
-        p0 = Density(g, np.full(5, 1.0 / g.total_volume), is_probability=True)
-        ens = simulate(p0, sol, 3000, 10, seed=2)
+        ens = simulate(sol, 3000, 10, seed=2)
         inside = np.abs(ens.terminal[:, 0, None] - atoms[None, :]) <= 0.5
         assert np.all(inside.sum(axis=1) == 1)
         assert np.all(inside.any(axis=0))
@@ -362,7 +353,7 @@ class TestSimulate:
     def test_seed_mandatory(self, bridge_setup):
         g, p0, _, sol = bridge_setup
         with pytest.raises(ValueError, match="seed"):
-            simulate(p0, sol, 10, 10, seed=None)
+            simulate(sol, 10, 10, seed=None)
 
 
 class TestEndpointDiagnostics:
@@ -370,8 +361,8 @@ class TestEndpointDiagnostics:
         g, p0, p1, sol = bridge_setup
         tvs = []
         for n in (200, 1000, 5000, 20000):
-            ens = simulate(p0, sol, n, 100, seed=42)
-            diag = endpoint_diagnostics(ens, sol, p1, bins=25, n_bootstrap=0)
+            ens = simulate(sol, n, 100, seed=42)
+            diag = endpoint_diagnostics(ens, sol, bins=25, n_bootstrap=0)
             tvs.append(diag.tv_joint)
         assert tvs[-1] < tvs[0]
         assert tvs[-1] < 0.1
@@ -379,9 +370,7 @@ class TestEndpointDiagnostics:
     def test_bridge_to_atom_joint_structure(self):
         eps = 0.05
         sol = _atom_solution(1.0, eps=eps)
-        g = make_grid(1, 2.0, 5)
-        p0 = Density(g, np.full(5, 1.0 / g.total_volume), is_probability=True)
-        ens = simulate(p0, sol, 4000, 100, seed=8)
+        ens = simulate(sol, 4000, 100, seed=8)
         # joint law is (initial law) x (atom): initial marginal uniform,
         # terminal concentrated at the atom
         assert np.abs(np.mean(ens.terminal[:, 0]) - 1.0) < 0.05
@@ -390,8 +379,8 @@ class TestEndpointDiagnostics:
 
     def test_initial_chi_square_consistent(self, bridge_setup):
         g, p0, p1, sol = bridge_setup
-        ens = simulate(p0, sol, 20000, 50, seed=12)
-        stat, dof = initial_chi_square(ens, p0)
+        ens = simulate(sol, 20000, 50, seed=12)
+        stat, dof = initial_chi_square(ens, sol)
         # pre-registered threshold: 99.9th percentile of chi2(dof)
         from scipy.stats import chi2
 
@@ -420,8 +409,8 @@ class TestBandwidthFromKernel:
             sol, kernel=GaussianHeatKernel(source=g, target=g, t=0.5, eps=1.0))
         sol_b = dataclasses.replace(
             sol, kernel=GaussianHeatKernel(source=g, target=g, t=1.0, eps=0.5))
-        a = simulate(p0, sol_a, 300, 8, seed=5, keep_full_paths=True)
-        b = simulate(p0, sol_b, 300, 8, seed=5, keep_full_paths=True)
+        a = simulate(sol_a, 300, 8, seed=5, keep_full_paths=True)
+        b = simulate(sol_b, 300, 8, seed=5, keep_full_paths=True)
         for field in ("initial", "terminal", "paths"):
             assert np.array_equal(getattr(a, field), getattr(b, field))
         x = np.linspace(-3.0, 3.0, 13)[:, None]
@@ -440,7 +429,7 @@ class TestBandwidthFromKernel:
         g, p0, _, sol = bridge_setup
         dense = dataclasses.replace(sol, kernel=DenseKernel.from_log(g, g, sol.kernel.logk))
         with pytest.raises(TypeError, match="heat kernel"):
-            simulate(p0, dense, 10, 4, seed=1)
+            simulate(dense, 10, 4, seed=1)
         with pytest.raises(TypeError, match="heat kernel"):
             drift(0.5, np.zeros(1), dense)
 
@@ -453,7 +442,7 @@ class TestBinningMatchesReference:
         radius = max(sol.mu1.support.bounding_radius, sol.mu2.support.bounding_radius)
         np.testing.assert_allclose(binned_plan(sol, radius, bins),
                                    reference_binned_plan(sol, radius, bins), rtol=1e-12, atol=0)
-        got = dataclasses.asdict(endpoint_diagnostics(ens, sol, p1, bins=bins))
+        got = dataclasses.asdict(endpoint_diagnostics(ens, sol, bins=bins))
         # the old bootstrap on the new plan binning: identical resamples
         same = dataclasses.asdict(reference_endpoint_diagnostics(
             ens, sol, p1, bins, 20, plan_binning=binned_plan))
@@ -468,13 +457,13 @@ class TestBinningMatchesReference:
 
     def test_1d(self, bridge_setup):
         g, p0, p1, sol = bridge_setup
-        ens = simulate(p0, sol, 3000, 10, seed=21)
+        ens = simulate(sol, 3000, 10, seed=21)
         for bins in (7, 50):
             self._check(ens, sol, p1, bins)
 
     def test_2d(self):
         p0, p1, sol = _heat_solution_2d()
-        ens = simulate(p0, sol, 150, 10, seed=22)
+        ens = simulate(sol, 150, 10, seed=22)
         for bins in (4, 12):
             self._check(ens, sol, p1, bins)
 
@@ -486,8 +475,8 @@ class TestBinningMatchesReference:
             np.add.at(dense, (np.arange(g.n_points), k), f)
         np.testing.assert_allclose(_overlap_matrix(g, g.bounding_radius, bins).toarray(),
                                    dense, rtol=1e-12, atol=0)
-        ens = simulate(p0, sol, 20000, 4, seed=23)
-        stat, dof = initial_chi_square(ens, p0)
+        ens = simulate(sol, 20000, 4, seed=23)
+        stat, dof = initial_chi_square(ens, sol)
         from scipy.stats import chi2
 
         assert 0 < dof and stat <= chi2.ppf(0.999, dof)

@@ -4,17 +4,20 @@ Derandomized hypothesis tests over random 1-D grids, noise levels and
 marginals with zero-mass points: the solver meets its marginal tolerance,
 the plan and the potential sum u1 + u2 are invariant under the free gauge
 (nu1, nu2) -> (c nu1, nu2 / c), and swapping the two marginals transposes
-the plan.
+the plan. Under the gauge the factor measures stay exp of the log factors
+and the level bound keeps its product of truncated masses.
 """
 import math
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from schrobridge import (
     DiscreteMeasure,
     GaussianHeatKernel,
+    check_level_bounds,
     make_grid,
     plan_matrix,
     rescaled,
@@ -64,3 +67,18 @@ def test_marginals_gauge_and_swap(instance):
                                 mu2, mu1, tol=TOL)
     assert swapped.converged
     assert np.allclose(plan_matrix(swapped), plan.T, rtol=0, atol=1e-9)
+
+
+@settings(derandomize=True, max_examples=30, deadline=None)
+@given(_instances(), st.sampled_from([1.0, 1.5]))
+def test_gauge_keeps_factor_weights_and_level_bounds(instance, m):
+    source, target, eps, mu1, mu2, c = instance
+    sol = solve_schrodinger(GaussianHeatKernel(source=source, target=target, eps=eps),
+                            mu1, mu2, tol=TOL)
+    gauged = rescaled(sol, c)
+    for s in (sol, gauged):
+        assert np.array_equal(s.nu1.weights, np.exp(s.log_nu1))
+        assert np.array_equal(s.nu2.weights, np.exp(s.log_nu2))
+    masses = check_level_bounds(sol, m).detail["product_of_masses"]
+    assert check_level_bounds(gauged, m).detail["product_of_masses"] == pytest.approx(
+        masses, rel=1e-12, abs=0)

@@ -71,7 +71,7 @@ class TestSolveFixedPoint:
     def test_converges_and_objective_below_uniform_bound(self, grid_r4, std_normal):
         trace = solve_fixed_point(std_normal, 0.5, 4.0, tol=1e-9)
         assert trace.converged
-        bound = free_energy_upper_bound(std_normal, 0.5, 4.0, support=grid_r4)
+        bound = free_energy_upper_bound(std_normal, 4.0, support=grid_r4)
         assert trace.objective <= bound
 
     def test_two_initializations_agree(self, grid_r4, std_normal):
@@ -97,9 +97,9 @@ class TestSolveFixedPoint:
         assert not trace.converged and len(trace.iterates) == 3
         last_solved = trace.iterates[1]
         assert trace.objective == objective_from_solution(
-            trace.final_solution, last_solved, std_normal, 1.0)
+            trace.final_solution, last_solved, std_normal)
         assert trace.objective != objective_from_solution(
-            trace.final_solution, trace.final, std_normal, 1.0)
+            trace.final_solution, trace.final, std_normal)
 
     def test_jensen_inequality_each_level(self, grid_r4, std_normal):
         trace = solve_fixed_point(std_normal, 0.5, 4.0, tol=1e-9)

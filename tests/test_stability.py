@@ -38,13 +38,12 @@ class TestMakeFamily:
     def test_zero_amplitude_members_equal_base(self, base_instance):
         q, mu1, mu2 = base_instance
         fam = make_family(q, mu1, mu2, "kernel_perturbation",
-                          {"index_set": [2, 4], "amplitude": 0.0})
+                          index_set=[2, 4], amplitude=0.0)
         base = np.exp(q.logk)
-        for pos in range(len(fam)):
-            qn, m1, m2 = fam.member(pos)
+        assert [n for n, _, _, _ in fam] == [2, 4]
+        for _, qn, m1, m2 in fam:
             assert np.array_equal(np.array(qn.values), base)
             assert m1 is mu1 and m2 is mu2
-        assert fam.kernel_sup_gaps == (0.0, 0.0)
 
     def test_small_eps_kernel_perturbation_is_exact_in_logs(self):
         g = make_grid(1, 4.0, 81)
@@ -52,32 +51,31 @@ class TestMakeFamily:
         mu = DiscreteMeasure(g, w / w.sum(), is_probability=True)
         q = GaussianHeatKernel(source=g, target=g, t=1.0, eps=0.01)
         fam = make_family(q, mu, mu, "kernel_perturbation",
-                          {"index_set": [4, 16], "amplitude": 1.0})
+                          index_set=[4, 16], amplitude=1.0)
         x = g.points[:, 0]
         psi = np.outer(np.sin(x), np.cos(x))  # the family's profile in 1-D
-        for pos, n in enumerate(fam.index_set):
-            qn, _, _ = fam.member(pos)
+        for n, qn, _, _ in fam:
             assert np.array_equal(qn.logk, q.logk + (1.0 / n) * psi)
 
     def test_kernel_gap_shrinks_with_index(self, base_instance):
         q, mu1, mu2 = base_instance
         fam = make_family(q, mu1, mu2, "kernel_perturbation",
-                          {"index_set": [4, 8, 16], "amplitude": 1.0})
-        gaps = fam.kernel_sup_gaps
+                          index_set=[4, 8, 16], amplitude=1.0)
+        gaps = [np.abs(qn.values - np.exp(q.logk)).max() for _, qn, _, _ in fam]
         assert gaps[0] > gaps[1] > gaps[2] > 0
 
     def test_empirical_input_ladder_decreases(self, base_instance):
         q, mu1, mu2 = base_instance
         fam = make_family(q, mu1, mu2, "marginal_empirical",
-                          {"index_set": [100, 1000, 10000], "seed": 11})
-        vals = [bl_distance(fam.mu1s[i], mu1) for i in range(3)]
+                          index_set=[100, 1000, 10000], seed=11)
+        vals = [bl_distance(m1, mu1) for _, _, m1, _ in fam]
         assert vals[0] > vals[1] > vals[2]
 
     def test_mollification_approaches_base(self, base_instance):
         q, mu1, mu2 = base_instance
         fam = make_family(q, mu1, mu2, "marginal_mollification",
-                          {"index_set": [2, 8, 32], "bandwidth": 0.5})
-        vals = [bl_distance(fam.mu1s[i], mu1) for i in range(3)]
+                          index_set=[2, 8, 32], bandwidth=0.5)
+        vals = [bl_distance(m1, mu1) for _, _, m1, _ in fam]
         assert vals[0] > vals[2]
         assert vals[2] < 1e-3
 
@@ -85,34 +83,33 @@ class TestMakeFamily:
         q, mu1, mu2 = base_instance
         for kind, params in (("marginal_mollification", {"index_set": [2, 4]}),
                              ("marginal_empirical", {"index_set": [50], "seed": 3})):
-            fam = make_family(q, mu1, mu2, kind, params)
-            for m in fam.mu1s + fam.mu2s:
-                assert m.is_probability
+            for _, _, m1, m2 in make_family(q, mu1, mu2, kind, **params):
+                assert m1.is_probability and m2.is_probability
 
     @pytest.mark.parametrize("index_set", [[2.5, 4.9], [4, math.nan], [math.inf]])
     def test_non_integer_indices_rejected(self, base_instance, index_set):
         q, mu1, mu2 = base_instance
         with pytest.raises(ValueError, match="integers"):
-            make_family(q, mu1, mu2, "kernel_perturbation", {"index_set": index_set})
+            make_family(q, mu1, mu2, "kernel_perturbation", index_set=index_set)
 
     @pytest.mark.parametrize("amplitude", [math.nan, math.inf])
     def test_non_finite_amplitude_rejected(self, base_instance, amplitude):
         q, mu1, mu2 = base_instance
         with pytest.raises(ValueError, match="amplitude must be finite"):
             make_family(q, mu1, mu2, "kernel_perturbation",
-                        {"index_set": [2], "amplitude": amplitude})
+                        index_set=[2], amplitude=amplitude)
 
     def test_unknown_kind_rejected(self, base_instance):
         q, mu1, mu2 = base_instance
         with pytest.raises(ValueError, match="kind"):
-            make_family(q, mu1, mu2, "bogus", {})
+            make_family(q, mu1, mu2, "bogus")
 
 
 class TestRunConvergence:
     def test_zero_perturbation_gaps_at_solver_tolerance(self, base_instance):
         q, mu1, mu2 = base_instance
         fam = make_family(q, mu1, mu2, "kernel_perturbation",
-                          {"index_set": [1, 2], "amplitude": 0.0})
+                          index_set=[1, 2], amplitude=0.0)
         rep = run_convergence(base_instance, fam, PROBES, m=2, probe_shift=0.0,
                               r_prime=1.8)
         for row in rep.rows:
@@ -124,7 +121,7 @@ class TestRunConvergence:
     def test_kernel_ladder_trends_down(self, base_instance):
         q, mu1, mu2 = base_instance
         fam = make_family(q, mu1, mu2, "kernel_perturbation",
-                          {"index_set": [4, 8, 16, 32, 64], "amplitude": 1.0})
+                          index_set=[4, 8, 16, 32, 64], amplitude=1.0)
         rep = run_convergence(base_instance, fam, PROBES, m=2, r_prime=1.8)
         summary = rep.summary()
         for metric in ("plan_bl", "product_gap", "potential_gap", "supnorm_gap"):
@@ -135,16 +132,16 @@ class TestRunConvergence:
     def test_empirical_family_stability_comparable_to_input(self, base_instance):
         q, mu1, mu2 = base_instance
         fam = make_family(q, mu1, mu2, "marginal_empirical",
-                          {"index_set": [10000], "seed": 21})
-        input_noise = max(bl_distance(fam.mu1s[0], mu1),
-                          bl_distance(fam.mu2s[0], mu2))
+                          index_set=[10000], seed=21)
+        _, _, m1, m2 = fam[0]
+        input_noise = max(bl_distance(m1, mu1), bl_distance(m2, mu2))
         rep = run_convergence(base_instance, fam, PROBES, m=2)
         assert rep.rows[0].plan_bl <= 3.0 * input_noise
 
     def test_failed_member_recorded_not_fatal(self, base_instance):
         q, mu1, mu2 = base_instance
         fam = make_family(q, mu1, mu2, "kernel_perturbation",
-                          {"index_set": [4, 8], "amplitude": 1.0})
+                          index_set=[4, 8], amplitude=1.0)
         rep = run_convergence(base_instance, fam, PROBES, m=2, max_iters=1)
         assert all(not row.solved for row in rep.rows)
         assert all(math.isnan(row.plan_bl) for row in rep.rows)
@@ -152,7 +149,7 @@ class TestRunConvergence:
     def test_member_programming_error_propagates(self, base_instance, monkeypatch):
         q, mu1, mu2 = base_instance
         fam = make_family(q, mu1, mu2, "kernel_perturbation",
-                          {"index_set": [4], "amplitude": 1.0})
+                          index_set=[4], amplitude=1.0)
         solve = stability.solve_schrodinger
 
         def broken_member_solve(kernel, *args, **kwargs):
@@ -170,8 +167,8 @@ class TestPotentialSumGauge:
         q, mu1, mu2 = base_instance
         sol = solve_schrodinger(q, mu1, mu2, tol=1e-13)
         fam = make_family(q, mu1, mu2, "kernel_perturbation",
-                          {"index_set": [8], "amplitude": 1.0})
-        other = solve_schrodinger(*fam.member(0), tol=1e-13)
+                          index_set=[8], amplitude=1.0)
+        other = solve_schrodinger(*fam[0][1:], tol=1e-13)
         base_gap = potential_sum_gap(sol, other, 2, PROBES)
         jittered = rescaled(other, 3.7)
         new_gap = potential_sum_gap(sol, jittered, 2, PROBES)
@@ -199,7 +196,7 @@ class TestSupnormConvergence:
     def test_constant_family_zero(self, base_instance):
         q, mu1, mu2 = base_instance
         fam = make_family(q, mu1, mu2, "kernel_perturbation",
-                          {"index_set": [1, 2], "amplitude": 0.0})
+                          index_set=[1, 2], amplitude=0.0)
         rep = run_convergence(base_instance, fam, PROBES, m=2, r_prime=1.5)
         assert all(row.solved for row in rep.rows)
         assert all(row.supnorm_gap <= 2e-12 for row in rep.rows)
@@ -207,7 +204,7 @@ class TestSupnormConvergence:
     def test_mollification_ladder(self, base_instance):
         q, mu1, mu2 = base_instance
         fam = make_family(q, mu1, mu2, "marginal_mollification",
-                          {"index_set": [2, 4, 8, 16], "bandwidth": 0.5})
+                          index_set=[2, 4, 8, 16], bandwidth=0.5)
         rep = run_convergence(base_instance, fam, PROBES, m=2, r_prime=1.8)
         assert all(row.solved for row in rep.rows)
         gaps = [row.supnorm_gap for row in rep.rows]
@@ -217,7 +214,7 @@ class TestSupnormConvergence:
     def test_gap_monotone_in_domain_size(self, base_instance):
         q, mu1, mu2 = base_instance
         fam = make_family(q, mu1, mu2, "marginal_mollification",
-                          {"index_set": [2, 4], "bandwidth": 0.5})
+                          index_set=[2, 4], bandwidth=0.5)
         wide = run_convergence(base_instance, fam, PROBES, m=2, r_prime=0.95 * 2.0)
         narrow = run_convergence(base_instance, fam, PROBES, m=2, r_prime=0.5 * 2.0)
         assert all(row.solved for row in wide.rows + narrow.rows)
