@@ -231,8 +231,8 @@ def _cmd_bridge(run: _Run):
 
 
 def _write_moment_diagnostics(run: _Run, rows):
-    columns = ["eps", "residual", "objective", "bl_drift",
-               "convexity_defect", "pushforward_error"]
+    columns = ["eps", "residual", "objective", "bl_drift", "convexity_defect",
+               "pushforward_error", "outer_steps", "fallbacks"]
     write_csv(run.path("moment_diagnostics.csv"), columns,
               [[row[c] for c in columns] for row in rows])
 

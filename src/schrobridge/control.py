@@ -147,13 +147,17 @@ def free_energy_objective(p: Density, p1: Density, eps, r) -> float:
     """
     if np.any((p.values > 0) & (p.support.radii() > r * (1 + 1e-9))):
         raise ValueError("candidate density has mass outside B_r")
-    return objective_from_solution(control_value(p, p1, eps).solution, p, p1)
+    return _objective(control_value(p, p1, eps), p)
 
 
 def objective_from_solution(sol: SchroedingerSolution, p: Density, p1: Density) -> float:
     """Same objective from an existing solve for (p, p1); eps is eps * t of sol's heat kernel."""
-    report = report_from_solution(sol, p1)
-    return entropy(p) - _bandwidth(sol) * report.value + 0.5 * second_moment(p)
+    return _objective(report_from_solution(sol, p1), p)
+
+
+def _objective(report: ControlValueReport, p: Density) -> float:
+    return (entropy(p) - _bandwidth(report.solution) * report.value
+            + 0.5 * second_moment(p))
 
 
 def free_energy_upper_bound(p1: Density | None, r, support: Support | None = None) -> float:

@@ -3,10 +3,10 @@
 A probability density p on B_r is a stationary point of the free-energy
 objective when p(x) is proportional to exp(-eps * u1(x) - |x|^2 / 2),
 with u1 the potential of the heat-kernel Schrodinger solve between p and
-the target law. Damped fixed-point iteration in log space finds that
-density for each eps; driving eps to zero along a decreasing schedule
-produces a convex potential u = -log p whose gradient pushes exp(-u) dx
-to the target.
+the target law. Fixed-point iteration in log space, Anderson-accelerated
+after a damped first step, finds that density for each eps; driving eps
+to zero along a decreasing schedule produces a convex potential
+u = -log p whose gradient pushes exp(-u) dx to the target.
 """
 from __future__ import annotations
 
@@ -37,13 +37,15 @@ DEFAULT_DAMPING = 0.5
 DEFAULT_EPS_SCHEDULE = tuple(2.0 ** (-k) for k in range(8))
 INNER_TOL = 1e-12
 INNER_MAX_ITERS = 20000
+ANDERSON_MEMORY = 5
 
 
 @dataclass(frozen=True)
 class FixedPointTrace:
     """Iteration record of the fixed point at one noise level.
 
-    ``objective`` is the free-energy objective of the last solved iterate.
+    ``objective`` is the free-energy objective of the last solved iterate;
+    ``fallbacks`` counts the damped steps taken after the first.
     """
 
     eps: float
@@ -52,6 +54,7 @@ class FixedPointTrace:
     converged: bool
     residual: float
     final_solution: SchroedingerSolution
+    fallbacks: int
 
     @property
     def final(self) -> Density:
@@ -179,14 +182,20 @@ def fixed_point_step(p: Density, p1: Density, eps, r) -> Density:
 
 def solve_fixed_point(p1: Density, eps, r, damping=DEFAULT_DAMPING, tol=1e-9,
                       max_outer=200, init: Density | None = None) -> FixedPointTrace:
-    """Damped fixed-point iteration in log space at one noise level.
+    """Anderson-accelerated fixed-point iteration in log space at one noise level.
 
-    Updates log p <- (1 - damping) log p + damping log(step(p)) followed by
-    renormalization; convergence is declared when the undamped map moves
-    the iterate by at most ``tol`` in sup norm, and the returned final
-    iterate is that undamped image. The target is recentered to barycenter
-    zero unless already centered. The objective is evaluated once, at the
-    iterate of the last solve.
+    Works on x = log p with residual f = log(step(p)) - x. Each step after
+    the first is undamped type-II Anderson mixing (Walker & Ni, SIAM J.
+    Numer. Anal. 2011): gamma fits f by least squares on the last
+    ``ANDERSON_MEMORY`` differences of f, and x <- log(step(p)) - G gamma
+    with G the matching differences of log(step(p)). The first step, and
+    any step where f is not finite or the residual grew since the previous
+    step, is the damped step x <- (1 - damping) x + damping log(step(p))
+    and clears the history. Every update is renormalized. Convergence is
+    declared when the undamped map moves the iterate by at most ``tol``
+    in sup norm, and the returned final iterate is that undamped image.
+    The target is recentered to barycenter zero unless already centered.
+    The objective is evaluated once, at the iterate of the last solve.
     """
     if not 0.0 < damping <= 1.0:
         raise ValueError("damping must lie in (0, 1]")
@@ -209,27 +218,43 @@ def solve_fixed_point(p1: Density, eps, r, damping=DEFAULT_DAMPING, tol=1e-9,
     converged = False
     sol = None
     warm = None
+    fallbacks = 0
+    with np.errstate(divide="ignore"):
+        x = np.log(p.values)
     kernel = GaussianHeatKernel(source=support, target=p1.support, t=1.0, eps=eps)
-    for _ in range(max_outer):
+    for k in range(max_outer):
         image, sol = _step(p, p1, kernel, warm)
         warm = sol.log_nu2
-        residual = float(np.abs(image.values - p.values).max())
+        last_residual, residual = residual, float(np.abs(image.values - p.values).max())
         if residual <= tol:
             iterates.append(image)
             converged = True
             break
-        with np.errstate(divide="ignore"):
-            log_mix = ((1.0 - damping) * np.log(p.values)
-                       + damping * np.log(image.values))
-        log_mix -= logsumexp(log_mix + np.log(support.cell_volumes))
-        p = Density(support, np.exp(log_mix), is_probability=True)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_image = np.log(image.values)
+            f = log_image - x
+        if k == 0 or residual > last_residual or not np.all(np.isfinite(f - f_prev)):
+            fallbacks += k > 0
+            dg, df = [], []
+            # damping = 1 must not form 0 * log 0 at a zero-valued init
+            x_new = (log_image if damping == 1.0
+                     else (1.0 - damping) * x + damping * log_image)
+        else:
+            dg = [*dg, log_image - g_prev][-ANDERSON_MEMORY:]
+            df = [*df, f - f_prev][-ANDERSON_MEMORY:]
+            gamma = np.linalg.lstsq(np.stack(df, axis=1), f, rcond=None)[0]
+            x_new = log_image - np.stack(dg, axis=1) @ gamma
+        g_prev, f_prev = log_image, f
+        x = x_new - logsumexp(x_new + np.log(support.cell_volumes))
+        p = Density(support, np.exp(x), is_probability=True)
         iterates.append(p)
     # Either way the last solve ran at iterates[-2]: the image or the
-    # damped mix was appended after it.
+    # next iterate was appended after it.
     return FixedPointTrace(
         eps=float(eps), iterates=tuple(iterates),
         objective=objective_from_solution(sol, iterates[-2], p1),
-        converged=converged, residual=residual, final_solution=sol)
+        converged=converged, residual=residual, final_solution=sol,
+        fallbacks=fallbacks)
 
 
 def potential_profile(trace: FixedPointTrace):
@@ -301,8 +326,9 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
     from the previous converged density. The returned potential is
     u = -log p0 gauged to min zero, with its midpoint-convexity defect and
     pushforward error; per-level diagnostics record residual, objective,
-    the bounded-Lipschitz drift between consecutive densities, and the
-    per-level convexity/pushforward numbers. A non-converged level aborts;
+    the bounded-Lipschitz drift between consecutive densities, the
+    per-level convexity/pushforward numbers, and the outer-step and
+    fallback counts. A non-converged level aborts;
     the error's ``partial`` holds the ``diagnostics`` rows and ``traces``
     of the levels completed before it.
     """
@@ -339,6 +365,8 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
             "bl_drift": drift_bl,
             "convexity_defect": check_convexity(u_eps, p_eps.support),
             "pushforward_error": push_err,
+            "outer_steps": len(trace.iterates) - 1,
+            "fallbacks": trace.fallbacks,
         })
         traces.append(trace)
         prev = p_eps

@@ -13,8 +13,10 @@ from schrobridge import (
     make_grid,
     solve_schrodinger,
 )
+import schrobridge.control
 from schrobridge.control import (
     control_value_gaussian_1d,
+    objective_from_solution,
     report_from_solution,
     second_moment,
 )
@@ -150,6 +152,21 @@ class TestFreeEnergy:
         p1 = gaussian_density(g, 0.4)
         obj = free_energy_objective(uni, p1, eps=0.5, r=1.0)
         assert obj <= free_energy_upper_bound(p1, 1.0, support=g) + 1e-12
+
+    def test_objective_assembles_one_report(self, monkeypatch):
+        g = make_grid(1, 2.0, 41)
+        p = gaussian_density(g, 0.4)
+        p1 = gaussian_density(g, 0.8)
+        expected = objective_from_solution(control_value(p, p1, 0.5).solution, p, p1)
+        calls = []
+
+        def counting(sol, target):
+            calls.append(sol)
+            return report_from_solution(sol, target)
+
+        monkeypatch.setattr(schrobridge.control, "report_from_solution", counting)
+        assert free_energy_objective(p, p1, eps=0.5, r=2.0) == expected
+        assert len(calls) == 1
 
     def test_support_outside_ball_rejected(self):
         g = make_grid(1, 2.0, 30)

@@ -277,6 +277,23 @@ class TestCliMoment:
                           skiprows=1, ndmin=2)
         assert diag.shape[0] == 1
         assert diag[0, 0] == 8.0
+        with open(out / "moment_diagnostics.csv") as fh:
+            assert fh.readline().strip().endswith(",outer_steps,fallbacks")
+        assert diag[0, -2:].tolist() == [1.0, 0.0]
+
+
+    def test_off_centre_target_within_default_max_outer(self, tmp_path):
+        cfg = tmp_path / "c.cfg"
+        with open(cfg, "w") as fh:
+            fh.write("p1 = gaussian:0.05,1\nr = 4.0\nschedule = 1\n")
+        out = tmp_path / "o"
+        assert main(["moment", "--config", str(cfg), "--grid", "1,4,101",
+                     "--out", str(out)]) == 0
+        with open(out / "moment_diagnostics.csv") as fh:
+            header = fh.readline().strip().split(",")
+            row = dict(zip(header, fh.readline().strip().split(",")))
+        assert int(row["outer_steps"]) <= 20
+        assert int(row["fallbacks"]) >= 0
 
 
 class TestCliStability:

@@ -2,9 +2,13 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.special import logsumexp
 
 from schrobridge import (
     Density,
+    GaussianHeatKernel,
     NonConvergenceError,
     check_convexity,
     fixed_point_step,
@@ -16,6 +20,10 @@ from schrobridge import (
 )
 from schrobridge.control import objective_from_solution
 from schrobridge.moment import (
+    DEFAULT_DAMPING,
+    DEFAULT_EPS_SCHEDULE,
+    _restrict_to_ball,
+    _step,
     jensen_gap,
     lattice_gradient,
     potential_profile,
@@ -23,6 +31,45 @@ from schrobridge.moment import (
     uniform_density,
 )
 from conftest import gaussian_density
+
+
+def damped_reference_fixed_point(p1, eps, r, damping=DEFAULT_DAMPING, tol=1e-9,
+                                 max_outer=200):
+    """Reference: the damped loop ``solve_fixed_point`` ran before Anderson mixing.
+
+    Same recentring, uniform start, warm start, convergence test and
+    returned image; every step is
+    log p <- (1 - damping) log p + damping log(step(p)), renormalized.
+    Returns ``(final density, outer steps, converged)``.
+    """
+    p1, _ = recentered(p1)
+    support = _restrict_to_ball(p1.support, r)
+    p = uniform_density(support)
+    kernel = GaussianHeatKernel(source=support, target=p1.support, t=1.0, eps=eps)
+    warm = None
+    for steps in range(1, max_outer + 1):
+        image, sol = _step(p, p1, kernel, warm)
+        warm = sol.log_nu2
+        if np.abs(image.values - p.values).max() <= tol:
+            return image, steps, True
+        log_mix = (1.0 - damping) * np.log(p.values) + damping * np.log(image.values)
+        log_mix -= logsumexp(log_mix + np.log(support.cell_volumes))
+        p = Density(support, np.exp(log_mix), is_probability=True)
+    return p, max_outer, False
+
+
+def _u_bar(p):
+    u = -np.log(p.values)
+    return u - u.min()
+
+
+@st.composite
+def _targets(draw):
+    """A 1-D grid of its own size and radius, an off-centre Gaussian, an eps."""
+    r = draw(st.sampled_from([2.0, 2.5, 3.0]))
+    grid = make_grid(1, r, draw(st.integers(21, 61)))
+    p1 = gaussian_density(grid, draw(st.floats(0.5, 1.5)), mean=draw(st.floats(-0.1, 0.1)))
+    return p1, draw(st.sampled_from(DEFAULT_EPS_SCHEDULE[:4])), r
 
 
 @pytest.fixture
@@ -111,6 +158,16 @@ class TestSolveFixedPoint:
         defect = check_convexity(profile, grid_r4)
         assert defect <= 1e-8 * (1.0 + profile.max() - profile.min())
 
+    def test_zero_init_without_damping_converges(self, grid_r4, std_normal):
+        vals = np.zeros(grid_r4.n_points)
+        vals[:3] = 1.0
+        vals = vals / (vals @ grid_r4.cell_volumes)
+        init = Density(grid_r4, vals, is_probability=True)
+        trace = solve_fixed_point(std_normal, 0.5, 4.0, init=init, damping=1.0)
+        assert trace.converged and trace.residual <= 1e-9
+        other = solve_fixed_point(std_normal, 0.5, 4.0)
+        assert np.abs(trace.final.values - other.final.values).max() <= 1e-6
+
     def test_zero_init_with_damping_rejected(self, grid_r4, std_normal):
         vals = np.zeros(grid_r4.n_points)
         vals[:3] = 1.0
@@ -118,6 +175,39 @@ class TestSolveFixedPoint:
         bad = Density(grid_r4, vals, is_probability=True)
         with pytest.raises(ValueError, match="damping"):
             solve_fixed_point(std_normal, 0.5, 4.0, init=bad, damping=0.5)
+
+
+class TestAnderson:
+    @settings(derandomize=True, max_examples=8, deadline=None)
+    @given(_targets())
+    def test_matches_damped_reference_1d(self, instance):
+        p1, eps, r = instance
+        ref, ref_steps, ref_ok = damped_reference_fixed_point(
+            p1, eps, r, tol=1e-11, max_outer=2000)
+        trace = solve_fixed_point(p1, eps, r, tol=1e-11)
+        assert ref_ok and trace.converged
+        assert len(trace.iterates) - 1 <= min(ref_steps, 30)
+        assert np.abs(_u_bar(trace.final) - _u_bar(ref)).max() <= 1e-7
+
+    def test_matches_damped_reference_2d(self):
+        g = make_grid(2, 2.0, 21)
+        p1 = gaussian_density(g, 0.5)
+        ref, ref_steps, ref_ok = damped_reference_fixed_point(p1, 0.25, 2.0, tol=1e-11)
+        trace = solve_fixed_point(p1, 0.25, 2.0, tol=1e-11)
+        assert ref_ok and trace.converged
+        assert len(trace.iterates) - 1 <= ref_steps / 3
+        assert np.abs(_u_bar(trace.final) - _u_bar(ref)).max() <= 1e-7
+
+    def test_fallback_keeps_convergence(self):
+        # An off-centre target at eps = 1/32: the accelerated residual grows
+        # on some steps and the damped fallback takes over. With a history
+        # kept across fallbacks this level stalls past max_outer.
+        g = make_grid(1, 4.0, 61)
+        p1, _ = recentered(gaussian_density(g, 1.0, mean=0.1))
+        trace = solve_fixed_point(p1, 1 / 32, 4.0)
+        assert trace.converged and trace.fallbacks >= 1
+        image = fixed_point_step(trace.final, p1, 1 / 32, 4.0)
+        assert np.abs(image.values - trace.final.values).max() <= 1e-8
 
 
 class TestZeroNoise:
