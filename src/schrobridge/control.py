@@ -22,9 +22,6 @@ import numpy as np
 from .core import Density, GaussianHeatKernel, Support, entropy
 from .solver import SchroedingerSolution, _bandwidth, plan_matrix, solve_schrodinger
 
-_BALL_VOLUME_COEFF = {1: 2.0, 2: math.pi}
-
-
 @dataclass(frozen=True)
 class ControlValueReport:
     """Control value with its three computed forms and their agreement."""
@@ -122,17 +119,6 @@ def report_from_solution(sol: SchroedingerSolution, p1: Density) -> ControlValue
     )
 
 
-def control_value_gaussian_1d(s0_sq, s1_sq, eps) -> float:
-    """Closed-form control value between centered 1-D Gaussians.
-
-    Independent scalar oracle: with c the positive root of
-    c^2 + eps*c = s0^2 * s1^2, the value is
-    0.5 * ((s0^2 + s1^2 - 2c)/eps - 1 + log(s0^2 / c)).
-    """
-    c = 0.5 * (-eps + math.sqrt(eps * eps + 4.0 * s0_sq * s1_sq))
-    return 0.5 * ((s0_sq + s1_sq - 2.0 * c) / eps - 1.0 + math.log(s0_sq / c))
-
-
 def second_moment(p: Density) -> float:
     """integral |x|^2 dP by quadrature."""
     w = p.values * p.support.cell_volumes
@@ -175,9 +161,5 @@ def free_energy_upper_bound(p1: Density | None, r, support: Support | None = Non
             np.sum(support.points**2, axis=1) @ support.cell_volumes) / vol
         return -math.log(vol) + 0.5 * mean_sq
     d = p1.support.dim if p1 is not None else 1
-    if d in _BALL_VOLUME_COEFF:
-        coeff = _BALL_VOLUME_COEFF[d]
-    else:
-        coeff = math.pi ** (d / 2) / math.gamma(d / 2 + 1)
-    vol = coeff * r**d
+    vol = math.pi ** (d / 2) / math.gamma(d / 2 + 1) * r**d
     return -math.log(vol) + 0.5 * d * r * r / (d + 2)

@@ -215,34 +215,21 @@ class GaussianHeatKernel(KernelSpec):
 
 @dataclass(frozen=True)
 class DenseKernel(KernelSpec):
-    """Explicit strictly positive matrix indexed by source x target points.
+    """Explicit kernel given by its log entries, indexed by source x target points.
 
-    Built from ``values`` or, by ``from_log``, from log entries (then
-    ``values = exp(logk)`` may underflow to 0); valid when ``logk`` is finite.
+    ``logk`` is taken as it is, so entries far below the float underflow
+    are kept; it must be finite (the kernel strictly positive and finite).
     """
 
-    values: np.ndarray = None
+    logk: np.ndarray
 
     def __post_init__(self):
-        v = np.atleast_2d(np.asarray(self.values, dtype=float))
-        if v.shape != (self.source.n_points, self.target.n_points):
+        logk = _readonly(np.atleast_2d(self.logk))
+        if logk.shape != (self.source.n_points, self.target.n_points):
             raise ValueError("kernel matrix shape does not match supports")
-        object.__setattr__(self, "values", _readonly(v))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            if not np.all(np.isfinite(self.logk)):
-                raise ValueError("kernel values must be strictly positive and finite")
-
-    @functools.cached_property
-    def logk(self):
-        return _readonly(np.log(self.values))
-
-    @classmethod
-    def from_log(cls, source: Support, target: Support, logk) -> "DenseKernel":
-        """Kernel with log entries ``logk``, taken as they are."""
-        k = cls.__new__(cls)
-        k.__dict__["logk"] = _readonly(np.atleast_2d(logk))
-        k.__init__(source, target, np.exp(k.logk))
-        return k
+        if not np.all(np.isfinite(logk)):
+            raise ValueError("kernel values must be strictly positive and finite")
+        object.__setattr__(self, "logk", logk)
 
 
 # ---------------------------------------------------------------------------
@@ -326,13 +313,14 @@ def empirical_measure(points, weights=None) -> DiscreteMeasure:
     return DiscreteMeasure(sup, mass, is_probability=True)
 
 
-def subsample_to_cap(points, k, rng, weights=None) -> DiscreteMeasure:
-    """``empirical_measure(points, weights)`` with at most k atoms, for the W2 oracle.
+def subsample_to_cap(points, rng, weights=None) -> DiscreteMeasure:
+    """``empirical_measure(points, weights)`` with at most half the W2 oracle cap of atoms.
 
-    Beyond k points, ``rng`` draws k: uniformly without replacement, or
-    with replacement in proportion to ``weights`` when given.
+    Beyond k = ``W2_ORACLE_CAP // 2`` points, ``rng`` draws k: uniformly
+    without replacement, or with replacement in proportion to ``weights``
+    when given. Two such measures always fit the oracle together.
     """
-    n = len(points)
+    n, k = len(points), W2_ORACLE_CAP // 2
     if n <= k:
         return empirical_measure(points, weights)
     p = None if weights is None else weights / weights.sum()
@@ -415,16 +403,16 @@ def tv_distance(a, b) -> float:
 # Quadratic Wasserstein oracles
 # ---------------------------------------------------------------------------
 
-def w2_distance(mu1: DiscreteMeasure, mu2: DiscreteMeasure, cap=W2_ORACLE_CAP) -> float:
+def w2_distance(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:
     """Exact 2-Wasserstein distance via the transport linear program.
 
-    Verification oracle only: refuses combined supports above ``cap``
-    points (callers must subsample).
+    Verification oracle only: refuses combined supports above
+    ``W2_ORACLE_CAP`` points (callers must subsample).
     """
     n, m = mu1.support.n_points, mu2.support.n_points
-    if n + m > cap:
+    if n + m > W2_ORACLE_CAP:
         raise OracleTooLargeError(
-            f"oracle too large: {n}+{m} support points exceed cap {cap}")
+            f"oracle too large: {n}+{m} support points exceed cap {W2_ORACLE_CAP}")
     if mu1.support.dim != mu2.support.dim:
         raise ValueError("dimension mismatch")
     a = mu1.weights / mu1.weights.sum()
@@ -458,7 +446,9 @@ def w2_distance_1d(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:
         order = np.argsort(x, kind="stable")
         w = mu.weights[order]
         keep = w > 0
-        return x[order][keep], np.cumsum(w[keep]) / w.sum()
+        c = np.cumsum(w[keep]) / w.sum()
+        c[-1:] = 1.0  # a rounded-up top level would fail `levels <= 1` below
+        return x[order][keep], c
 
     x1, c1 = sorted_cdf(mu1)
     x2, c2 = sorted_cdf(mu2)

@@ -182,13 +182,6 @@ def _bin_ids(coords, radius, bins):
     return ids
 
 
-def binned_joint(x0, x1, radius, bins):
-    """Histogram of endpoint pairs on a bins^(2d) lattice over [-radius, radius]."""
-    flat = np.bincount(_bin_ids(np.hstack([x0, x1]), radius, bins),
-                       minlength=bins ** (2 * x0.shape[1]))
-    return flat / flat.sum()
-
-
 def _overlap_matrix(support: Support, radius, bins):
     """Sparse (n, bins^d) share of each cubic quadrature cell in each bin.
 
@@ -257,11 +250,10 @@ def endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution,
     emp = empirical_measure(ens.terminal)
     bl_term = bl_distance(emp, target)
 
-    half = W2_ORACLE_CAP // 2
-    sub = subsample_to_cap(ens.terminal, half, rng)
+    sub = subsample_to_cap(ens.terminal, rng)
     tgt_small = target
     if target.support.n_points + sub.support.n_points > W2_ORACLE_CAP:
-        tgt_small = subsample_to_cap(target.support.points, half, rng, target.weights)
+        tgt_small = subsample_to_cap(target.support.points, rng, target.weights)
     w2_sub = w2_distance(sub, tgt_small)
 
     w2_full = None
@@ -295,22 +287,3 @@ def endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution,
         tv_joint=tv, kl_joint=kl, tv_joint_err=tv_err, w2_err=w2_err,
         n_paths=ens.n_paths, bins=bins)
 
-
-def initial_chi_square(ens: PathEnsemble, sol: SchroedingerSolution):
-    """Chi-square statistic of the initial states against sol.mu1, with dof.
-
-    Bins the first time slice, 20 bins per axis over the support's
-    bounding box, and compares counts with the exact step-density bin
-    probabilities (cells split across bins by overlap). Returns
-    (statistic, degrees_of_freedom).
-    """
-    bins = 20
-    support = sol.mu1.support
-    radius = support.bounding_radius
-    counts = np.bincount(_bin_ids(ens.initial, radius, bins), minlength=bins**support.dim)
-    probs = _overlap_matrix(support, radius, bins).T @ sol.mu1.weights
-    probs = probs / probs.sum()
-    keep = probs * ens.n_paths >= 5.0
-    expected = probs[keep] * ens.n_paths
-    stat = float(np.sum((counts[keep] - expected) ** 2 / expected))
-    return stat, int(keep.sum() - 1)

@@ -146,19 +146,6 @@ def load_density_csv(path) -> Density:
     return Density(sup, values, is_probability=abs(mass - 1.0) <= 1e-10)
 
 
-def _save_table(path, support: Support, value_name, values):
-    header = [f"x_{k + 1}" for k in range(support.dim)] + [value_name, "cell_volume"]
-    write_csv(path, header, np.column_stack([support.points, values, support.cell_volumes]))
-
-
-def save_measure_csv(path, mu: DiscreteMeasure):
-    _save_table(path, mu.support, "weight", mu.weights)
-
-
-def save_density_csv(path, p: Density):
-    _save_table(path, p.support, "density", p.values)
-
-
 def load_kernel_csv(path, source: Support, target: Support) -> DenseKernel:
     with open(path) as fh:
         lines = [ln.strip() for ln in fh if ln.strip()]
@@ -168,7 +155,9 @@ def load_kernel_csv(path, source: Support, target: Support) -> DenseKernel:
             rows.append([float(p) for p in ln.split(",")])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
-    return DenseKernel(source=source, target=target, values=np.asarray(rows))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        logk = np.log(np.asarray(rows))
+    return DenseKernel(source=source, target=target, logk=logk)
 
 
 # ---------------------------------------------------------------------------
@@ -212,13 +201,6 @@ def write_paths_binary(path, ens):
         n, steps, d = ens.paths.shape
         fh.write(f"{n} {steps} {d}\n".encode())
         fh.write(np.ascontiguousarray(ens.paths, dtype=np.float64).tobytes())
-
-
-def read_paths_binary(path):
-    with open(path, "rb") as fh:
-        shape = tuple(int(v) for v in fh.readline().split())
-        data = np.frombuffer(fh.read(), dtype=np.float64)
-    return data.reshape(shape)
 
 
 def sha256_of(path) -> str:

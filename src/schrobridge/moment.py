@@ -17,7 +17,6 @@ import numpy as np
 from scipy.special import logsumexp
 
 from .core import (
-    W2_ORACLE_CAP,
     Density,
     DiscreteMeasure,
     GaussianHeatKernel,
@@ -31,7 +30,7 @@ from .core import (
     w2_distance_1d,
 )
 from .control import objective_from_solution
-from .solver import SchroedingerSolution, potential_at, solve_schrodinger
+from .solver import SchroedingerSolution, solve_schrodinger
 
 DEFAULT_DAMPING = 0.5
 DEFAULT_EPS_SCHEDULE = tuple(2.0 ** (-k) for k in range(8))
@@ -170,11 +169,13 @@ def fixed_point_step(p: Density, p1: Density, eps, r) -> Density:
     """Apply the map p -> normalize(exp(-eps * u1 - |x|^2 / 2)) on B_r.
 
     u1 is the source potential of the heat-kernel Schrodinger solve with
-    marginals (p, p1). A density satisfying the stationarity equation is
-    reproduced within solver tolerance.
+    marginals (p, p1). The target is recentered to barycenter zero, as in
+    ``solve_fixed_point``, so a density satisfying the stationarity
+    equation for p1 is reproduced within solver tolerance.
     """
     if p.support.radii().max() > r * (1 + 1e-9):
         raise ValueError("iterate support must lie inside B_r")
+    p1, _ = recentered(p1)
     kernel = GaussianHeatKernel(source=p.support, target=p1.support, t=1.0, eps=eps)
     out, _ = _step(p, p1, kernel)
     return out
@@ -257,29 +258,6 @@ def solve_fixed_point(p1: Density, eps, r, damping=DEFAULT_DAMPING, tol=1e-9,
         fallbacks=fallbacks)
 
 
-def potential_profile(trace: FixedPointTrace):
-    """The convex profile eps * u1 + |x|^2 / 2 of the trace's final solve."""
-    sol = trace.final_solution
-    pts = sol.mu1.support.points
-    return trace.eps * sol.u1 + 0.5 * np.sum(pts**2, axis=1)
-
-
-def jensen_gap(trace: FixedPointTrace) -> float:
-    """integral of (eps*u2 + |y|^2/2) dP1 minus its value at the barycenter.
-
-    Nonnegative for the convex target-side profile; evaluated off-grid at
-    the exact barycenter through the analytic kernel.
-    """
-    sol = trace.final_solution
-    p1w = sol.mu2.weights
-    pts = sol.mu2.support.points
-    profile = trace.eps * sol.u2 + 0.5 * np.sum(pts**2, axis=1)
-    y0 = pts.T @ p1w / p1w.sum()
-    u2_y0 = float(potential_at(sol, y0[None, :], side=2)[0])
-    at_y0 = trace.eps * u2_y0 + 0.5 * float(y0 @ y0)
-    return float(profile @ p1w / p1w.sum()) - at_y0
-
-
 def verify_moment_measure(u_bar, support: Support, p1: Density):
     """Check that grad(u) pushes exp(-u) dx onto the target law.
 
@@ -311,9 +289,8 @@ def verify_moment_measure(u_bar, support: Support, p1: Density):
         w2 = w2_distance_1d(rho, target)
     else:
         rng = np.random.Generator(np.random.Philox(key=0))
-        half = W2_ORACLE_CAP // 2
-        w2 = w2_distance(subsample_to_cap(rho.support.points, half, rng, rho.weights),
-                         subsample_to_cap(target.support.points, half, rng, target.weights))
+        w2 = w2_distance(subsample_to_cap(rho.support.points, rng, rho.weights),
+                         subsample_to_cap(target.support.points, rng, target.weights))
     return pushforward_error, coupling_cost - w2 * w2
 
 
@@ -324,12 +301,12 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
 
     The target is recentered once (shift reported); each level warm-starts
     from the previous converged density. The returned potential is
-    u = -log p0 gauged to min zero, with its midpoint-convexity defect and
-    pushforward error; per-level diagnostics record residual, objective,
-    the bounded-Lipschitz drift between consecutive densities, the
-    per-level convexity/pushforward numbers, and the outer-step and
-    fallback counts. A non-converged level aborts;
-    the error's ``partial`` holds the ``diagnostics`` rows and ``traces``
+    u = -log p0 gauged to min zero, with the last level's midpoint-convexity
+    defect, pushforward error and W2 check; per-level diagnostics record
+    residual, objective, the bounded-Lipschitz drift between consecutive
+    densities, the per-level convexity/pushforward numbers, and the
+    outer-step and fallback counts. A non-converged level aborts; the
+    error's ``partial`` holds the ``diagnostics`` rows and ``traces``
     of the levels completed before it.
     """
     eps_schedule = tuple(float(e) for e in eps_schedule)
@@ -355,7 +332,7 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
         p_eps = trace.final
         u_eps = -np.log(p_eps.values)
         u_eps = u_eps - u_eps.min()
-        push_err, _ = verify_moment_measure(u_eps, p_eps.support, p1c)
+        push_err, w2_check = verify_moment_measure(u_eps, p_eps.support, p1c)
         drift_bl = (bl_distance(p_eps.to_measure(), prev.to_measure())
                     if prev is not None else math.nan)
         rows.append({
@@ -370,13 +347,9 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
         })
         traces.append(trace)
         prev = p_eps
-    p0 = prev
-    u_bar = -np.log(p0.values)
-    u_bar = u_bar - u_bar.min()
-    pushforward_error, w2_check = verify_moment_measure(u_bar, p0.support, p1c)
     return MomentMeasureResult(
-        p0=p0, u_bar=u_bar, eps_schedule=eps_schedule,
-        pushforward_error=pushforward_error,
-        convexity_defect=check_convexity(u_bar, p0.support),
+        p0=prev, u_bar=u_eps, eps_schedule=eps_schedule,
+        pushforward_error=push_err,
+        convexity_defect=rows[-1]["convexity_defect"],
         w2_check=w2_check, recenter_shift=shift,
         diagnostics=tuple(rows), traces=tuple(traces))

@@ -82,8 +82,7 @@ def make_family(base_q: KernelSpec, base_mu1: DiscreteMeasure, base_mu2: Discret
     if kind == "kernel_perturbation":
         psi = _smooth_wiggle(base_q.source, base_q.target)
         logq = log_eval_kernel(base_q)
-        return tuple((n, DenseKernel.from_log(base_q.source, base_q.target,
-                                              logq + (amplitude / n) * psi),
+        return tuple((n, DenseKernel(base_q.source, base_q.target, logq + (amplitude / n) * psi),
                       base_mu1, base_mu2) for n in index_set)
     if kind == "marginal_mollification":
         return tuple((n, base_q, _mollified(base_mu1, bandwidth / n),

@@ -9,6 +9,7 @@ from schrobridge import (
     Support,
     make_grid,
 )
+from schrobridge.io import write_csv
 
 
 def gaussian_density(grid, var, mean=0.0):
@@ -17,6 +18,19 @@ def gaussian_density(grid, var, mean=0.0):
     v = np.exp(-d2 / (2.0 * var))
     v = v / (v @ grid.cell_volumes)
     return Density(grid, v, is_probability=True)
+
+
+def _save_table(path, support: Support, value_name, values):
+    header = [f"x_{k + 1}" for k in range(support.dim)] + [value_name, "cell_volume"]
+    write_csv(path, header, np.column_stack([support.points, values, support.cell_volumes]))
+
+
+def save_measure_csv(path, mu: DiscreteMeasure):
+    _save_table(path, mu.support, "weight", mu.weights)
+
+
+def save_density_csv(path, p: Density):
+    _save_table(path, p.support, "density", p.values)
 
 
 def two_point_support():
@@ -32,7 +46,7 @@ def sup2():
 @pytest.fixture
 def q2x2(sup2):
     return DenseKernel(source=sup2, target=sup2,
-                       values=np.array([[2.0, 1.0], [1.0, 2.0]]))
+                       logk=np.log(np.array([[2.0, 1.0], [1.0, 2.0]])))
 
 
 @pytest.fixture
@@ -61,7 +75,7 @@ def random_instance(rng, n_min=5, n_max=40, radius=None):
     radius = radius if radius is not None else float(rng.uniform(0.5, 3.0))
     grid = make_grid(1, radius, n)
     logq = rng.normal(scale=rng.uniform(0.1, 1.5), size=(n, n))
-    q = DenseKernel(source=grid, target=grid, values=np.exp(logq))
+    q = DenseKernel(source=grid, target=grid, logk=logq)
     w1 = rng.dirichlet(np.ones(n))
     w2 = rng.dirichlet(np.ones(n))
     mu1 = DiscreteMeasure(grid, w1 / w1.sum(), is_probability=True)

@@ -34,8 +34,13 @@ from schrobridge import (
 )
 from schrobridge.cli import main
 from schrobridge.core import empirical_measure
-from schrobridge.io import save_density_csv, save_measure_csv
-from conftest import gaussian_density, random_instance, two_point_support
+from conftest import (
+    gaussian_density,
+    random_instance,
+    save_density_csv,
+    save_measure_csv,
+    two_point_support,
+)
 
 
 def _report(num, label, ok, detail=""):
@@ -51,14 +56,14 @@ def test_acceptance_01_system_residual():
     from schrobridge import DenseKernel
 
     sup = two_point_support()
-    q = DenseKernel(source=sup, target=sup, values=np.array([[2.0, 1.0], [1.0, 2.0]]))
+    q = DenseKernel(source=sup, target=sup, logk=np.log(np.array([[2.0, 1.0], [1.0, 2.0]])))
     mu = DiscreteMeasure(sup, np.array([0.5, 0.5]), is_probability=True)
     sol = solve_schrodinger(q, mu, mu, tol=1e-14, max_iters=10000)
 
     nu2_oracle = np.ones(2)
     for _ in range(10**4):
-        nu1_oracle = mu.weights / (np.array(q.values) @ nu2_oracle)
-        nu2_oracle = mu.weights / (np.array(q.values).T @ nu1_oracle)
+        nu1_oracle = mu.weights / (np.exp(q.logk) @ nu2_oracle)
+        nu2_oracle = mu.weights / (np.exp(q.logk).T @ nu1_oracle)
     c = math.sqrt(nu2_oracle.sum() / nu1_oracle.sum())
     nu1_oracle, nu2_oracle = nu1_oracle * c, nu2_oracle / c
 

@@ -15,12 +15,22 @@ from schrobridge import (
 )
 import schrobridge.control
 from schrobridge.control import (
-    control_value_gaussian_1d,
     objective_from_solution,
     report_from_solution,
     second_moment,
 )
 from conftest import gaussian_density
+
+
+def control_value_gaussian_1d(s0_sq, s1_sq, eps) -> float:
+    """Closed-form control value between centered 1-D Gaussians.
+
+    Independent scalar oracle: with c the positive root of
+    c^2 + eps*c = s0^2 * s1^2, the value is
+    0.5 * ((s0^2 + s1^2 - 2c)/eps - 1 + log(s0^2 / c)).
+    """
+    c = 0.5 * (-eps + math.sqrt(eps * eps + 4.0 * s0_sq * s1_sq))
+    return 0.5 * ((s0_sq + s1_sq - 2.0 * c) / eps - 1.0 + math.log(s0_sq / c))
 
 
 @pytest.fixture
@@ -82,7 +92,7 @@ class TestDualVariables:
     def test_constant_kernel_degenerate(self):
         g = make_grid(1, 1.0, 16)
         p1 = gaussian_density(g, 0.4)
-        q = DenseKernel(source=g, target=g, values=np.ones((16, 16)))
+        q = DenseKernel(source=g, target=g, logk=np.zeros((16, 16)))
         mu = p1.to_measure()
         sol = solve_schrodinger(q, mu, mu, tol=1e-14)
         f, phi0 = dual_variables(sol, p1)
@@ -200,7 +210,7 @@ class TestKlForm:
         g = make_grid(1, 1.0, 12)
         p1 = gaussian_density(g, 0.4)
         mu = p1.to_measure()
-        q = DenseKernel(source=g, target=g, values=np.ones((12, 12)))
+        q = DenseKernel(source=g, target=g, logk=np.zeros((12, 12)))
         sol = solve_schrodinger(q, mu, mu, tol=1e-14)
         rep = report_from_solution(sol, p1)
         from schrobridge import entropy
@@ -215,7 +225,7 @@ class TestKlForm:
         uni = Density(g, np.full(12, 1.0 / g.total_volume), is_probability=True)
         mu = uni.to_measure()
         q = DenseKernel(source=g, target=g,
-                        values=np.full((12, 12), 1.0 / g.total_volume))
+                        logk=np.log(np.full((12, 12), 1.0 / g.total_volume)))
         sol = solve_schrodinger(q, mu, mu, tol=1e-14)
         rep = report_from_solution(sol, uni)
         assert abs(rep.kl_form) <= 1e-12

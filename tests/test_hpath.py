@@ -30,10 +30,9 @@ from schrobridge.core import (
 from schrobridge.hpath import (
     EndpointReport,
     PathEnsemble,
+    _bin_ids,
     _overlap_matrix,
-    binned_joint,
     binned_plan,
-    initial_chi_square,
 )
 from schrobridge.solver import SchroedingerSolution, plan_matrix
 from conftest import gaussian_density
@@ -71,6 +70,26 @@ def euler_maruyama_reference(sol: SchroedingerSolution, n_paths, n_steps, seed,
             paths[:, k + 1, :] = x
     return PathEnsemble(times=times, initial=initial, terminal=x, seed=int(seed),
                         paths=paths)
+
+
+def initial_chi_square(ens: PathEnsemble, sol: SchroedingerSolution):
+    """Chi-square statistic of the initial states against sol.mu1, with dof.
+
+    Bins the first time slice, 20 bins per axis over the support's
+    bounding box, and compares counts with the exact step-density bin
+    probabilities (cells split across bins by overlap). Returns
+    (statistic, degrees_of_freedom).
+    """
+    bins = 20
+    support = sol.mu1.support
+    radius = support.bounding_radius
+    counts = np.bincount(_bin_ids(ens.initial, radius, bins), minlength=bins**support.dim)
+    probs = _overlap_matrix(support, radius, bins).T @ sol.mu1.weights
+    probs = probs / probs.sum()
+    keep = probs * ens.n_paths >= 5.0
+    expected = probs[keep] * ens.n_paths
+    stat = float(np.sum((counts[keep] - expected) ** 2 / expected))
+    return stat, int(keep.sum() - 1)
 
 
 # Oracles: the endpoint binning and bootstrap as they were before the
@@ -150,11 +169,10 @@ def reference_endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution,
     emp = empirical_measure(ens.terminal)
     bl_term = bl_distance(emp, target)
 
-    half = W2_ORACLE_CAP // 2
-    sub = subsample_to_cap(ens.terminal, half, rng)
+    sub = subsample_to_cap(ens.terminal, rng)
     tgt_small = target
     if target.support.n_points + sub.support.n_points > W2_ORACLE_CAP:
-        tgt_small = subsample_to_cap(target.support.points, half, rng, target.weights)
+        tgt_small = subsample_to_cap(target.support.points, rng, target.weights)
     w2_sub = w2_distance(sub, tgt_small)
 
     w2_full = None
@@ -324,7 +342,7 @@ class TestSimulate:
                                            target) for _ in range(5)])
         for sampler in (simulate, euler_maruyama_reference):
             ens = sampler(sol, n, 100, seed=6)
-            tv = tv_distance(binned_joint(ens.initial, ens.terminal, radius, bins), plan)
+            tv = tv_distance(reference_binned_joint(ens.initial, ens.terminal, radius, bins), plan)
             w2 = w2_distance_1d(empirical_measure(ens.terminal), target)
             assert tv <= 1.3 * tv_floor, sampler.__name__
             assert w2 <= 3.0 * w2_floor, sampler.__name__
@@ -427,7 +445,7 @@ class TestBandwidthFromKernel:
 
     def test_dense_kernel_raises_type_error(self, bridge_setup):
         g, p0, _, sol = bridge_setup
-        dense = dataclasses.replace(sol, kernel=DenseKernel.from_log(g, g, sol.kernel.logk))
+        dense = dataclasses.replace(sol, kernel=DenseKernel(g, g, sol.kernel.logk))
         with pytest.raises(TypeError, match="heat kernel"):
             simulate(dense, 10, 4, seed=1)
         with pytest.raises(TypeError, match="heat kernel"):

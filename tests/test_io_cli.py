@@ -14,13 +14,17 @@ from schrobridge.io import (
     fmt,
     load_density_csv,
     load_measure_csv,
-    read_paths_binary,
-    save_density_csv,
-    save_measure_csv,
 )
-from conftest import gaussian_density
+from conftest import gaussian_density, save_density_csv, save_measure_csv
 
 INSTANCES = os.path.join(os.path.dirname(schrobridge.data.__file__), "instances")
+
+
+def read_paths_binary(path):
+    with open(path, "rb") as fh:
+        shape = tuple(int(v) for v in fh.readline().split())
+        data = np.frombuffer(fh.read(), dtype=np.float64)
+    return data.reshape(shape)
 
 
 def _artifact_bytes(out_dir):

@@ -8,29 +8,53 @@ from scipy.special import logsumexp
 
 from schrobridge import (
     Density,
+    FixedPointTrace,
     GaussianHeatKernel,
     NonConvergenceError,
     check_convexity,
     fixed_point_step,
     free_energy_upper_bound,
     make_grid,
+    potential_at,
     solve_fixed_point,
     verify_moment_measure,
     zero_noise_continuation,
 )
+import schrobridge.moment
 from schrobridge.control import objective_from_solution
 from schrobridge.moment import (
     DEFAULT_DAMPING,
     DEFAULT_EPS_SCHEDULE,
     _restrict_to_ball,
     _step,
-    jensen_gap,
     lattice_gradient,
-    potential_profile,
     recentered,
     uniform_density,
 )
 from conftest import gaussian_density
+
+
+def potential_profile(trace: FixedPointTrace):
+    """The convex profile eps * u1 + |x|^2 / 2 of the trace's final solve."""
+    sol = trace.final_solution
+    pts = sol.mu1.support.points
+    return trace.eps * sol.u1 + 0.5 * np.sum(pts**2, axis=1)
+
+
+def jensen_gap(trace: FixedPointTrace) -> float:
+    """integral of (eps*u2 + |y|^2/2) dP1 minus its value at the barycenter.
+
+    Nonnegative for the convex target-side profile; evaluated off-grid at
+    the exact barycenter through the analytic kernel.
+    """
+    sol = trace.final_solution
+    p1w = sol.mu2.weights
+    pts = sol.mu2.support.points
+    profile = trace.eps * sol.u2 + 0.5 * np.sum(pts**2, axis=1)
+    y0 = pts.T @ p1w / p1w.sum()
+    u2_y0 = float(potential_at(sol, y0[None, :], side=2)[0])
+    at_y0 = trace.eps * u2_y0 + 0.5 * float(y0 @ y0)
+    return float(profile @ p1w / p1w.sum()) - at_y0
 
 
 def damped_reference_fixed_point(p1, eps, r, damping=DEFAULT_DAMPING, tol=1e-9,
@@ -88,6 +112,16 @@ class TestFixedPointStep:
         p_star = trace.final
         image = fixed_point_step(p_star, std_normal, 0.5, 4.0)
         assert np.abs(image.values - p_star.values).max() <= 1e-8
+
+    def test_recenters_the_target(self):
+        # an off-centre target: the caller's own p1 re-substitutes the
+        # converged density, as solve_fixed_point recenters it
+        g = make_grid(1, 3.0, 80)
+        p1 = gaussian_density(g, 2.0, mean=0.07)
+        trace = solve_fixed_point(p1, 1 / 8, 3.0, tol=1e-11)
+        assert trace.converged
+        image = fixed_point_step(trace.final, p1, 1 / 8, 3.0)
+        assert np.abs(image.values - trace.final.values).max() <= 1e-8
 
     def test_output_is_probability_in_ball(self, grid_r4, std_normal):
         p = uniform_density(grid_r4)
@@ -232,6 +266,22 @@ class TestZeroNoise:
                                         tol=1e-9)
         assert res_s.recenter_shift[0] == pytest.approx(0.35, abs=1e-9)
         assert np.abs(res_c.p0.values - res_s.p0.values).max() <= 1e-8
+
+    def test_each_level_verified_once(self, std_normal, monkeypatch):
+        calls = []
+        verify = schrobridge.moment.verify_moment_measure
+
+        def counted(*args):
+            calls.append(args)
+            return verify(*args)
+
+        monkeypatch.setattr(schrobridge.moment, "verify_moment_measure", counted)
+        schedule = [0.5, 0.25]
+        res = zero_noise_continuation(std_normal, 4.0, eps_schedule=schedule, tol=1e-9)
+        assert len(calls) == len(schedule)
+        last = res.diagnostics[-1]
+        assert res.pushforward_error == last["pushforward_error"]
+        assert res.convexity_defect == last["convexity_defect"]
 
     def test_schedule_must_decrease(self, std_normal):
         with pytest.raises(ValueError, match="decreasing"):

@@ -137,7 +137,7 @@ class TestSolve:
                            [[1 / 3, 1 / 6], [1 / 6, 1 / 3]], atol=1e-12)
 
     def test_constant_kernel_gives_product(self, sup2, mu_half, mu_skew):
-        q = DenseKernel(source=sup2, target=sup2, values=np.ones((2, 2)))
+        q = DenseKernel(source=sup2, target=sup2, logk=np.zeros((2, 2)))
         sol = solve_schrodinger(q, mu_half, mu_skew, tol=1e-14)
         assert np.allclose(sol.nu1.weights, mu_half.weights, atol=1e-13)
         assert np.allclose(sol.nu2.weights, mu_skew.weights, atol=1e-13)
@@ -154,15 +154,15 @@ class TestSolve:
                            [0.33985302415522, 0.4904080729631687], atol=1e-12)
         assert np.allclose(sol.nu2.weights,
                            [0.6409631217711174, 0.18929797534727136], atol=1e-12)
-        nu1o, nu2o = plain_fixed_point_oracle(np.array(q2x2.values),
+        nu1o, nu2o = plain_fixed_point_oracle(np.exp(q2x2.logk),
                                               mu_half.weights, mu_skew.weights)
         assert np.allclose(sol.nu1.weights, nu1o, atol=1e-12)
         assert np.allclose(sol.nu2.weights, nu2o, atol=1e-12)
 
     def test_potential_definition_holds(self, q2x2, mu_half, mu_skew):
         sol = solve_schrodinger(q2x2, mu_half, mu_skew, tol=1e-14)
-        assert np.allclose(np.exp(sol.u1), q2x2.values @ sol.nu2.weights, rtol=1e-12)
-        assert np.allclose(np.exp(sol.u2), q2x2.values.T @ sol.nu1.weights, rtol=1e-12)
+        assert np.allclose(np.exp(sol.u1), np.exp(q2x2.logk) @ sol.nu2.weights, rtol=1e-12)
+        assert np.allclose(np.exp(sol.u2), np.exp(q2x2.logk).T @ sol.nu1.weights, rtol=1e-12)
 
     def test_equal_mass_normalization(self, q2x2, mu_half, mu_skew):
         sol = solve_schrodinger(q2x2, mu_half, mu_skew, tol=1e-14)
@@ -212,7 +212,7 @@ class TestSolve:
 
     def test_swap_symmetry(self, q2x2, mu_half, mu_skew, sup2):
         sol = solve_schrodinger(q2x2, mu_half, mu_skew, tol=1e-14)
-        qt = DenseKernel(source=sup2, target=sup2, values=np.array(q2x2.values).T)
+        qt = DenseKernel(source=sup2, target=sup2, logk=q2x2.logk.T)
         swapped = solve_schrodinger(qt, mu_skew, mu_half, tol=1e-14)
         assert np.allclose(swapped.nu1.weights, sol.nu2.weights, atol=1e-11)
         assert np.allclose(swapped.nu2.weights, sol.nu1.weights, atol=1e-11)
@@ -386,7 +386,7 @@ class TestBeurlingBounds:
 
     def test_constant_kernel_tight(self, sup2, mu_half, mu_skew):
         c = 3.7
-        q = DenseKernel(source=sup2, target=sup2, values=np.full((2, 2), c))
+        q = DenseKernel(source=sup2, target=sup2, logk=np.log(np.full((2, 2), c)))
         sol = solve_schrodinger(q, mu_half, mu_skew, tol=1e-14)
         rep = check_beurling_bounds(sol, 1.0)
         assert rep.lower == pytest.approx(math.sqrt(c))
@@ -418,7 +418,7 @@ class TestProductIdentity:
         assert rep.worst_slack <= 1e-12
 
     def test_constant_kernel_unit(self, sup2, mu_half, mu_skew):
-        q = DenseKernel(source=sup2, target=sup2, values=np.ones((2, 2)))
+        q = DenseKernel(source=sup2, target=sup2, logk=np.zeros((2, 2)))
         sol = solve_schrodinger(q, mu_half, mu_skew, tol=1e-14)
         u1m, u2m = truncated_potentials(sol, 1)
         assert np.allclose(np.exp(u1m[:, None] + u2m[None, :]), 1.0, atol=1e-12)
@@ -447,7 +447,7 @@ class TestLevelBounds:
         assert rep.detail["product_of_masses"] == pytest.approx(2 / 3, abs=1e-12)
 
     def test_constant_kernel_all_ones(self, sup2, mu_half, mu_skew):
-        q = DenseKernel(source=sup2, target=sup2, values=np.ones((2, 2)))
+        q = DenseKernel(source=sup2, target=sup2, logk=np.zeros((2, 2)))
         sol = solve_schrodinger(q, mu_half, mu_skew, tol=1e-14)
         rep = check_level_bounds(sol, 1)
         assert rep.lower == pytest.approx(1.0, abs=1e-12)
