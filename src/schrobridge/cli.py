@@ -128,6 +128,9 @@ class _Run:
                 self.cfg[key] = str(val)
         if getattr(args, "full_paths", False):
             self.cfg["full_paths"] = "true"
+        unread = sorted(set(self.cfg) - {"out", "grid", *_KEYS[args.command]})
+        if unread:
+            raise ValueError(f"{args.command} does not read: {', '.join(unread)}")
         self.out_dir = self.cfg.get("out", ".")
         os.makedirs(self.out_dir, exist_ok=True)
         self.inputs = []
@@ -300,6 +303,15 @@ _COMMANDS = {
     "bridge": _cmd_bridge,
     "moment": _cmd_moment,
     "stability": _cmd_stability,
+}
+# The config keys and flags each command reads besides the common out and grid.
+_KEYS = {
+    "solve": ("mu1", "mu2", "kernel", "eps", "tol", "max_iters"),
+    "control": ("p0", "p1", "eps", "tol", "max_iters"),
+    "bridge": ("p0", "p1", "eps", "seed", "n_paths", "n_steps", "full_paths", "bins", "tol"),
+    "moment": ("p1", "r", "schedule", "tol", "damping", "max_outer"),
+    "stability": ("mu1", "mu2", "kernel", "eps", "family", "amplitude", "bandwidth",
+                  "index_set", "seed", "n_probes", "m", "tol", "r_prime"),
 }
 
 

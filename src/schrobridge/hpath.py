@@ -15,7 +15,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
 
 from .core import (
     W2_ORACLE_CAP,
@@ -173,48 +172,46 @@ def simulate(sol: SchroedingerSolution, n_paths, n_steps, seed,
                         paths=paths)
 
 
-def _bin_ids(coords, radius, bins):
-    """Flat bin of each row of coords on the bins-per-axis lattice over [-radius, radius]^d."""
+def _bin_edges(radius, bins):
+    """Bin edges per axis: linspace over [-radius, radius], the outer two at -inf and +inf."""
     edges = np.linspace(-radius, radius, bins + 1)
+    edges[[0, -1]] = -np.inf, np.inf
+    return edges
+
+
+def _bin_ids(coords, radius, bins):
+    """Flat bin of each row of coords on the ``_bin_edges`` lattice."""
+    edges = _bin_edges(radius, bins)
     ids = np.zeros(len(coords), dtype=np.int64)
     for c in coords.T:
-        ids = ids * bins + np.clip(np.searchsorted(edges, c, side="right") - 1, 0, bins - 1)
+        ids = ids * bins + np.searchsorted(edges, c, side="right") - 1
     return ids
 
 
 def _overlap_matrix(support: Support, radius, bins):
-    """Sparse (n, bins^d) share of each cubic quadrature cell in each bin.
+    """Dense (n, bins^d) share of each cubic quadrature cell in each ``_bin_edges`` bin.
 
     Grid masses represent cells, not atoms; assigning a whole cell to the
-    bin of its center biases comparisons against continuous samples. The
-    share of a cell beyond the lattice goes to the edge bin.
+    bin of its center biases comparisons against continuous samples.
     """
-    pts = support.points
-    n, d = pts.shape
-    widths = support.cell_volumes ** (1.0 / d)
-    edges = np.linspace(-radius, radius, bins + 1)
-    bw = edges[1] - edges[0]
-    offsets = np.arange(int(math.ceil(widths.max() / bw)) + 2)
-    ids = np.zeros((n, 1), dtype=np.int64)
+    n, d = support.points.shape
+    half = 0.5 * support.cell_volumes ** (1.0 / d)
+    edges = _bin_edges(radius, bins)
     frac = np.ones((n, 1))
-    for axis in range(d):
-        lo = (pts[:, axis] - 0.5 * widths)[:, None]
-        hi = (pts[:, axis] + 0.5 * widths)[:, None]
-        k = np.floor((lo - edges[0]) / bw).astype(np.int64) + offsets
-        bin_lo = edges[0] + k * bw
-        overlap = np.clip(np.minimum(hi, bin_lo + bw) - np.maximum(lo, bin_lo), 0.0, None)
-        ids = (ids[:, :, None] * bins + np.clip(k, 0, bins - 1)[:, None, :]).reshape(n, -1)
-        frac = (frac[:, :, None] * (overlap / (hi - lo))[:, None, :]).reshape(n, -1)
-    rows = np.repeat(np.arange(n), ids.shape[1])
-    return sparse.csr_array((frac.ravel(), (rows, ids.ravel())), shape=(n, bins**d))
+    for c in support.points.T:
+        lo, hi = (c - half)[:, None], (c + half)[:, None]
+        share = np.diff(np.clip(edges, lo, hi), axis=1) / (hi - lo)
+        frac = (frac[:, :, None] * share[:, None, :]).reshape(n, -1)
+    return frac
 
 
 def binned_plan(sol: SchroedingerSolution, radius, bins):
     """The solver's plan aggregated onto the endpoint binning by cell overlap."""
-    src = _overlap_matrix(sol.mu1.support, radius, bins)
-    tgt = _overlap_matrix(sol.mu2.support, radius, bins)
-    flat = (src.T @ plan_matrix(sol) @ tgt).ravel()
-    return flat / flat.sum()
+    # one dense share matrix alive at a time, and the result normalized in place
+    flat = _overlap_matrix(sol.mu1.support, radius, bins).T @ plan_matrix(sol)
+    flat = (flat @ _overlap_matrix(sol.mu2.support, radius, bins)).ravel()
+    flat /= flat.sum()
+    return flat
 
 
 @dataclass(frozen=True)

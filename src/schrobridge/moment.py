@@ -82,23 +82,14 @@ class MomentMeasureResult:
 def lattice_gradient(values, support: Support):
     """Central differences on the lattice, one-sided at the boundary."""
     values = np.asarray(values, dtype=float)
-    steps, _, fwd_all, bwd_all = lattice_neighbors(support)
-    n, d = support.n_points, support.dim
-    grad = np.zeros((n, d))
-    for k in range(d):
-        fwd, bwd, h = fwd_all[k], bwd_all[k], steps[k]
-        both = (fwd >= 0) & (bwd >= 0)
-        only_f = (fwd >= 0) & (bwd < 0)
-        only_b = (fwd < 0) & (bwd >= 0)
-        none = (fwd < 0) & (bwd < 0)
-        if np.any(none) and n > 1:
-            raise ValueError("isolated lattice point: gradient undefined")
-        grad[both, k] = (values[fwd[both]] - values[bwd[both]]) / (2 * h)
-        ids_f = np.nonzero(only_f)[0]
-        grad[ids_f, k] = (values[fwd[ids_f]] - values[ids_f]) / h
-        ids_b = np.nonzero(only_b)[0]
-        grad[ids_b, k] = (values[ids_b] - values[bwd[ids_b]]) / h
-    return grad
+    d = support.dim
+    steps, _, fwd, bwd = lattice_neighbors(support)
+    has_f, has_b = fwd[:d] >= 0, bwd[:d] >= 0
+    if support.n_points > 1 and np.any(~has_f & ~has_b):
+        raise ValueError("isolated lattice point: gradient undefined")
+    own = np.arange(support.n_points)
+    diff = values[np.where(has_f, fwd[:d], own)] - values[np.where(has_b, bwd[:d], own)]
+    return (diff / (steps[:, None] * (1 + (has_f & has_b)))).T
 
 
 def check_convexity(u_bar, support: Support) -> float:
@@ -109,15 +100,9 @@ def check_convexity(u_bar, support: Support) -> float:
     Exactly convex grid functions give 0 up to floating error.
     """
     u = np.asarray(u_bar, dtype=float)
-    _, _, fwd_all, bwd_all = lattice_neighbors(support)
-    defect = 0.0
-    for fwd, bwd in zip(fwd_all, bwd_all):
-        ok = (fwd >= 0) & (bwd >= 0)
-        if not np.any(ok):
-            continue
-        mid = u[ok] - 0.5 * (u[fwd[ok]] + u[bwd[ok]])
-        defect = max(defect, float(np.clip(mid, 0.0, None).max()))
-    return defect
+    _, _, fwd, bwd = lattice_neighbors(support)
+    mid = u - 0.5 * (u[fwd] + u[bwd])  # a missing neighbour, -1, is masked below
+    return float(np.where((fwd >= 0) & (bwd >= 0), mid, 0.0).max(initial=0.0))
 
 
 # ---------------------------------------------------------------------------

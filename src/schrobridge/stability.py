@@ -227,8 +227,6 @@ def semiconvexity_constant(q: KernelSpec) -> float:
         steps, dirs, fwd_all, bwd_all = lattice_neighbors(axis_support)
         for h_sq, fwd, bwd in zip((dirs**2) @ steps**2, fwd_all, bwd_all):
             ok = (fwd >= 0) & (bwd >= 0)
-            if not np.any(ok):
-                continue
             second = (table[fwd[ok], :] + table[bwd[ok], :] - 2 * table[ok, :]) / h_sq
-            worst = min(worst, float(second.min()))
+            worst = min(worst, float(second.min(initial=0.0)))
     return max(0.0, -worst / 2.0)

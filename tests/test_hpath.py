@@ -491,10 +491,33 @@ class TestBinningMatchesReference:
         dense = np.zeros((g.n_points, bins**2))
         for k, f in reference_cell_bin_split(g, _bin_edges(g.bounding_radius, bins)):
             np.add.at(dense, (np.arange(g.n_points), k), f)
-        np.testing.assert_allclose(_overlap_matrix(g, g.bounding_radius, bins).toarray(),
+        np.testing.assert_allclose(_overlap_matrix(g, g.bounding_radius, bins),
                                    dense, rtol=1e-12, atol=0)
         ens = simulate(sol, 20000, 4, seed=23)
         stat, dof = initial_chi_square(ens, sol)
         from scipy.stats import chi2
 
         assert 0 < dof and stat <= chi2.ppf(0.999, dof)
+
+
+class TestSharedEdges:
+    """``_bin_ids`` and ``_overlap_matrix`` bin on the same edges."""
+
+    @pytest.mark.parametrize("dim", [1, 2])
+    def test_whole_cell_lands_in_the_bin_of_its_centre(self, dim):
+        # cells of width 0.5 from -3 to 3; bins of width 1 over [-1.5, 1.5],
+        # so every cell lies wholly in one bin, many beyond +-radius
+        g = make_grid(dim, 3.0, 12)
+        radius, bins = 1.5, 3
+        share = _overlap_matrix(g, radius, bins)
+        expected = np.zeros_like(share)
+        expected[np.arange(g.n_points), _bin_ids(g.points, radius, bins)] = 1.0
+        assert np.any(np.abs(g.points) > radius + 1.0)
+        np.testing.assert_array_equal(share, expected)
+
+    @pytest.mark.parametrize("dim, radius, bins", [(1, 2.0, 7), (2, 2.0, 7), (2, 3.7, 50)])
+    def test_rows_sum_to_one(self, dim, radius, bins):
+        g = make_grid(dim, 3.0, 21)
+        share = _overlap_matrix(g, radius, bins)
+        assert share.shape == (g.n_points, bins**dim)
+        assert np.abs(share.sum(axis=1) - 1.0).max() <= 1e-15

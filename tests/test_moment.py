@@ -346,6 +346,20 @@ class TestVerifyMomentMeasure:
         err, _ = verify_moment_measure(u, g, gaussian_density(g, 1.0))
         assert err <= 0.02
 
+    def test_two_dimensions_use_the_lp_oracle(self, monkeypatch):
+        g = make_grid(2, 3.0, 21)
+        u = 0.5 * np.sum(g.points**2, axis=1)
+        calls = []
+        for name in ("w2_distance", "w2_distance_1d"):
+            def counted(*args, _name=name, _f=getattr(schrobridge.moment, name)):
+                calls.append(_name)
+                return _f(*args)
+            monkeypatch.setattr(schrobridge.moment, name, counted)
+        first = verify_moment_measure(u, g, gaussian_density(g, 1.0))
+        assert calls == ["w2_distance"]
+        assert math.isfinite(first[1])
+        assert verify_moment_measure(u, g, gaussian_density(g, 1.0)) == first
+
     def test_nonfinite_potential_rejected(self):
         g = make_grid(1, 1.0, 8)
         u = np.zeros(8)

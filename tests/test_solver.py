@@ -10,6 +10,7 @@ from schrobridge import (
     DenseKernel,
     DiscreteMeasure,
     GaussianHeatKernel,
+    Support,
     check_beurling_bounds,
     check_level_bounds,
     check_product_identity,
@@ -127,6 +128,30 @@ class TestSolve:
         q = GaussianHeatKernel(source=g, target=g, eps=0.005)
         with pytest.raises(ValueError, match="factor masses beyond the float64 range"):
             solve_schrodinger(q, mu1, mu2, max_iters=1000)
+
+    def test_kernel_on_other_support_rejected(self, sup2, mu_half):
+        shifted = Support(points=np.array([[0.0], [2.0]]), cell_volumes=np.ones(2),
+                          bounding_radius=2.0)
+        for source, target in ((shifted, sup2), (sup2, shifted)):
+            q = DenseKernel(source=source, target=target, logk=np.zeros((2, 2)))
+            with pytest.raises(ValueError, match="kernel supports do not match"):
+                solve_schrodinger(q, mu_half, mu_half)
+
+    def test_equal_distinct_support_solves_identically(self, grid_1d, gauss_kernel):
+        x = grid_1d.points[:, 0]
+        w1 = np.exp(-(x - 0.3) ** 2 / 0.4)
+        w2 = np.exp(-(x + 0.2) ** 2 / 0.6)
+        mu1 = DiscreteMeasure(grid_1d, w1 / w1.sum(), is_probability=True)
+        mu2 = DiscreteMeasure(grid_1d, w2 / w2.sum(), is_probability=True)
+        copy = Support(points=grid_1d.points.copy(), cell_volumes=grid_1d.cell_volumes.copy(),
+                       bounding_radius=grid_1d.bounding_radius)
+        assert copy is not grid_1d
+        same = solve_schrodinger(gauss_kernel, mu1, mu2, tol=1e-12)
+        other = solve_schrodinger(GaussianHeatKernel(source=copy, target=copy, t=1.0, eps=0.8),
+                                  mu1, mu2, tol=1e-12)
+        assert other.iterations == same.iterations
+        for name in ("log_nu1", "log_nu2", "u1", "u2"):
+            np.testing.assert_array_equal(getattr(other, name), getattr(same, name))
 
     def test_symmetric_2x2_closed_form(self, q2x2, mu_half):
         sol = solve_schrodinger(q2x2, mu_half, mu_half, tol=1e-14)
