@@ -65,48 +65,42 @@ def _gaussian_density(grid, mean, var) -> Density:
     return Density(grid, vals, is_probability=True)
 
 
-def _find_input(spec, base_dir):
-    """Paths in configs resolve against the config file's directory too."""
-    if os.path.exists(spec):
-        return spec
-    if base_dir:
-        candidate = os.path.join(base_dir, spec)
-        if os.path.exists(candidate):
-            return candidate
+def _find_input(run, spec):
+    """Path of input spec, or of spec in the config's directory; recorded in run.inputs."""
+    for path in (spec, os.path.join(run.config_dir or "", spec)):
+        if os.path.exists(path):
+            run.inputs.append(path)
+            return path
     raise ValueError(f"input file not found: {spec}")
 
 
-def _resolve_density(spec, grid, base_dir=None):
+def _resolve_density(run, spec):
     """A density is either a CSV path or gaussian:mean,var on --grid."""
+    if not spec.startswith("gaussian:"):
+        return load_density_csv(_find_input(run, spec))
+    if run.grid is None:
+        raise ValueError("builtin gaussian density needs --grid d,r,n")
+    parts = [float(v) for v in spec[len("gaussian:"):].split(",")]
+    var = parts[-1]
+    if not 0 < var < math.inf:
+        raise ValueError(f"gaussian variance must be finite and > 0, got {var:g}")
+    mean = parts[:-1] or [0.0] * run.grid.dim
+    if len(mean) != run.grid.dim:
+        raise ValueError("gaussian mean dimension does not match the grid")
+    return _gaussian_density(run.grid, mean, var)
+
+
+def _resolve_measure(run, spec):
     if spec.startswith("gaussian:"):
-        if grid is None:
-            raise ValueError("builtin gaussian density needs --grid d,r,n")
-        parts = [float(v) for v in spec[len("gaussian:"):].split(",")]
-        var = parts[-1]
-        if not 0 < var < math.inf:
-            raise ValueError(f"gaussian variance must be finite and > 0, got {var:g}")
-        mean = parts[:-1] or [0.0] * grid.dim
-        if len(mean) != grid.dim:
-            raise ValueError("gaussian mean dimension does not match the grid")
-        return _gaussian_density(grid, mean, var), []
-    path = _find_input(spec, base_dir)
-    return load_density_csv(path), [path]
+        return _resolve_density(run, spec).to_measure()
+    return load_measure_csv(_find_input(run, spec))
 
 
-def _resolve_measure(spec, grid, base_dir=None):
-    if spec.startswith("gaussian:"):
-        dens, paths = _resolve_density(spec, grid, base_dir)
-        return dens.to_measure(), paths
-    path = _find_input(spec, base_dir)
-    return load_measure_csv(path), [path]
-
-
-def _resolve_kernel(spec, source, target, eps, base_dir=None):
+def _resolve_kernel(run, spec, source, target, eps):
     if spec.startswith("gaussian:"):
         t = float(spec[len("gaussian:"):] or 1.0)
-        return GaussianHeatKernel(source=source, target=target, t=t, eps=eps), []
-    path = _find_input(spec, base_dir)
-    return load_kernel_csv(path, source, target), [path]
+        return GaussianHeatKernel(source=source, target=target, t=t, eps=eps)
+    return load_kernel_csv(_find_input(run, spec), source, target)
 
 
 def _floats(text):
@@ -170,12 +164,10 @@ class _Run:
 
 
 def _cmd_solve(run: _Run):
-    mu1, in1 = _resolve_measure(run.get("mu1"), run.grid, run.config_dir)
-    mu2, in2 = _resolve_measure(run.get("mu2"), run.grid, run.config_dir)
-    run.inputs += in1 + in2
+    mu1 = _resolve_measure(run, run.get("mu1"))
+    mu2 = _resolve_measure(run, run.get("mu2"))
     eps = run.get("eps", float, 1.0)
-    kernel, ink = _resolve_kernel(run.get("kernel"), mu1.support, mu2.support, eps, run.config_dir)
-    run.inputs += ink
+    kernel = _resolve_kernel(run, run.get("kernel"), mu1.support, mu2.support, eps)
     mu1 = mu1.normalized()
     mu2 = mu2.normalized()
     sol = solve_schrodinger(kernel, mu1, mu2, **run.given(tol=float, max_iters=int))
@@ -187,9 +179,8 @@ def _cmd_solve(run: _Run):
 
 
 def _cmd_control(run: _Run):
-    p0, in0 = _resolve_density(run.get("p0"), run.grid, run.config_dir)
-    p1, in1 = _resolve_density(run.get("p1"), run.grid, run.config_dir)
-    run.inputs += in0 + in1
+    p0 = _resolve_density(run, run.get("p0"))
+    p1 = _resolve_density(run, run.get("p1"))
     eps_list = run.get("eps", _floats)
     if not all(0 < eps < math.inf for eps in eps_list):
         raise ValueError("every eps in the list must be finite and > 0")
@@ -208,9 +199,8 @@ def _cmd_control(run: _Run):
 
 
 def _cmd_bridge(run: _Run):
-    p0, in0 = _resolve_density(run.get("p0"), run.grid, run.config_dir)
-    p1, in1 = _resolve_density(run.get("p1"), run.grid, run.config_dir)
-    run.inputs += in0 + in1
+    p0 = _resolve_density(run, run.get("p0"))
+    p1 = _resolve_density(run, run.get("p1"))
     eps = run.get("eps", float)
     seed = run.seed()
     n_paths = run.get("n_paths", int, 10000)
@@ -241,8 +231,7 @@ def _write_moment_diagnostics(run: _Run, rows):
 
 
 def _cmd_moment(run: _Run):
-    p1, in1 = _resolve_density(run.get("p1"), run.grid, run.config_dir)
-    run.inputs += in1
+    p1 = _resolve_density(run, run.get("p1"))
     opts = run.given(tol=float, damping=float, max_outer=int)
     if "schedule" in run.cfg:
         opts["eps_schedule"] = _floats(run.cfg["schedule"])
@@ -265,13 +254,11 @@ def _cmd_moment(run: _Run):
 
 
 def _cmd_stability(run: _Run):
-    mu1, in1 = _resolve_measure(run.get("mu1"), run.grid, run.config_dir)
-    mu2, in2 = _resolve_measure(run.get("mu2"), run.grid, run.config_dir)
-    run.inputs += in1 + in2
+    mu1 = _resolve_measure(run, run.get("mu1"))
+    mu2 = _resolve_measure(run, run.get("mu2"))
     eps = run.get("eps", float, 1.0)
-    kernel, ink = _resolve_kernel(run.cfg.get("kernel", "gaussian:1"),
-                                  mu1.support, mu2.support, eps, run.config_dir)
-    run.inputs += ink
+    kernel = _resolve_kernel(run, run.get("kernel", str, "gaussian:1"),
+                             mu1.support, mu2.support, eps)
     mu1 = mu1.normalized()
     mu2 = mu2.normalized()
     kind = run.get("family")

@@ -102,29 +102,12 @@ def _in_cells(support: Support, idx, rng):
 def sample_density(p: Density, n, rng) -> np.ndarray:
     """Draw n points from a piecewise-constant grid density.
 
-    One dimension uses the exact inverse CDF of the step density; higher
-    dimensions pick cells by weight and jitter uniformly inside the cubic
-    cell. Reproducible given the generator state.
+    In every dimension: a cell by its mass, then a uniform point inside
+    that cubic cell (the law of the step density). Reproducible given the
+    generator state.
     """
     w = p.values * p.support.cell_volumes
-    w = w / w.sum()
-    d = p.support.dim
-    if d == 1:
-        x = p.support.points[:, 0]
-        order = np.argsort(x, kind="stable")
-        x = x[order]
-        wo = w[order]
-        widths = p.support.cell_volumes[order]
-        cum = np.cumsum(wo)
-        cum[-1] = 1.0
-        u = rng.random(n)
-        idx = np.searchsorted(cum, u, side="right")
-        idx = np.minimum(idx, len(x) - 1)
-        left = cum[idx] - wo[idx]
-        with np.errstate(invalid="ignore", divide="ignore"):
-            frac = np.where(wo[idx] > 0, (u - left) / wo[idx], 0.5)
-        return (x[idx] - 0.5 * widths[idx] + frac * widths[idx])[:, None]
-    return _in_cells(p.support, rng.choice(p.support.n_points, size=n, p=w), rng)
+    return _in_cells(p.support, rng.choice(p.support.n_points, size=n, p=w / w.sum()), rng)
 
 
 def check_path_counts(n_paths, n_steps):

@@ -72,40 +72,40 @@ def write_csv(path, header, rows):
 # Measures and densities
 # ---------------------------------------------------------------------------
 
-def _parse_table(path):
+def _parse_table(path, header=True):
+    """(names, rows) of a CSV: names are the first non-blank line's fields; every line,
+    bar a header, is a float row of that width. Errors name the file and the line."""
     with open(path) as fh:
-        lines = [ln.strip() for ln in fh]
-    lines = [ln for ln in lines if ln]
+        lines = [ln for ln in map(str.strip, fh) if ln]
     if not lines:
         raise ValueError(f"{path}: empty file")
-    header = [h.strip() for h in lines[0].split(",")]
+    names = [h.strip() for h in lines[0].split(",")]
     rows = []
-    for lineno, ln in enumerate(lines[1:], start=2):
-        parts = [p.strip() for p in ln.split(",")]
-        if len(parts) != len(header):
-            raise ValueError(f"{path}:{lineno}: expected {len(header)} fields, got {len(parts)}")
+    for lineno, ln in enumerate(lines[header:], start=1 + header):
+        parts = ln.split(",")
+        if len(parts) != len(names):
+            raise ValueError(f"{path}:{lineno}: expected {len(names)} fields, got {len(parts)}")
         try:
             rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise ValueError(f"{path}:{lineno}: {exc}") from None
     if not rows:
         raise ValueError(f"{path}: no data rows")
-    return header, np.asarray(rows)
+    return names, np.asarray(rows)
 
 
-def _split_columns(path, header, data, value_names):
+def _split_columns(path, header, data, value_name):
     d = 0
     while f"x_{d + 1}" in header:
         d += 1
     if d == 0:
         raise ValueError(f"{path}: no coordinate columns x_1..x_d in header")
     coords = np.stack([data[:, header.index(f"x_{k + 1}")] for k in range(d)], axis=1)
-    value_col = next((n for n in value_names if n in header), None)
-    if value_col is None:
-        raise ValueError(f"{path}: header must contain one of {value_names}")
-    values = data[:, header.index(value_col)]
+    if value_name not in header:
+        raise ValueError(f"{path}: header must contain {value_name}")
+    values = data[:, header.index(value_name)]
     vols = data[:, header.index("cell_volume")] if "cell_volume" in header else None
-    return coords, values, vols, value_col
+    return coords, values, vols
 
 
 def _infer_volumes(path, coords, vols):
@@ -129,7 +129,7 @@ def _support_from(coords, vols):
 
 def load_measure_csv(path) -> DiscreteMeasure:
     header, data = _parse_table(path)
-    coords, weights, vols, _ = _split_columns(path, header, data, ("weight",))
+    coords, weights, vols = _split_columns(path, header, data, "weight")
     if vols is None:
         vols = np.ones(len(weights))
     sup = _support_from(coords, vols)
@@ -139,7 +139,7 @@ def load_measure_csv(path) -> DiscreteMeasure:
 
 def load_density_csv(path) -> Density:
     header, data = _parse_table(path)
-    coords, values, vols, _ = _split_columns(path, header, data, ("density",))
+    coords, values, vols = _split_columns(path, header, data, "density")
     vols = _infer_volumes(path, coords, vols)
     sup = _support_from(coords, vols)
     mass = float(values @ vols)
@@ -147,16 +147,9 @@ def load_density_csv(path) -> Density:
 
 
 def load_kernel_csv(path, source: Support, target: Support) -> DenseKernel:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    rows = []
-    for lineno, ln in enumerate(lines, start=1):
-        try:
-            rows.append([float(p) for p in ln.split(",")])
-        except ValueError as exc:
-            raise ValueError(f"{path}:{lineno}: {exc}") from None
+    _, rows = _parse_table(path, header=False)
     with np.errstate(divide="ignore", invalid="ignore"):
-        logk = np.log(np.asarray(rows))
+        logk = np.log(rows)
     return DenseKernel(source=source, target=target, logk=logk)
 
 

@@ -173,11 +173,13 @@ def run_convergence(base, family, probes, m,
     compared as (n, m) weight matrices on the base supports, which every
     family member shares. A member whose solve stalls or is rejected
     (NonConvergenceError, ValueError) is recorded as an unsolved row.
-    Raises ValueError unless r_prime (when given) is finite and > 0 and
-    its ball holds a point of each support.
+    Raises ValueError, before any solve, unless there is a probe, m >= 1, and
+    r_prime (when given) is finite and > 0 with a point of each support in its ball.
     """
     if len(probes) == 0:
         raise ValueError("need at least one probe pair")
+    if not m >= 1:
+        raise ValueError(f"need a truncation index m >= 1, got {m}")
     q, mu1, mu2 = base
     if r_prime is not None:
         in_s = mu1.support.radii() <= r_prime * (1 + 1e-12)

@@ -291,15 +291,16 @@ class TestSampleDensity:
             target = g.points[np.searchsorted(cum, q), 0]
             assert np.quantile(xs, q) == pytest.approx(target, abs=0.05)
 
-    def test_2d_alias_with_jitter_stays_in_cells(self):
-        g = make_grid(2, 1.5, 7)
+    @pytest.mark.parametrize("d", [1, 2])
+    def test_2d_alias_with_jitter_stays_in_cells(self, d):
+        g = make_grid(d, 1.5, 7)
         p = gaussian_density(g, 0.5)
         rng = np.random.default_rng(6)
         xs = sample_density(p, 5000, rng)
-        h = g.cell_volumes[0] ** 0.5
+        h = g.cell_volumes[0] ** (1.0 / d)
         d2 = ((xs[:, None, :] - g.points[None, :, :]) ** 2).sum(-1)
         nearest = d2.min(axis=1)
-        assert nearest.max() <= (h * h / 2) + 1e-12
+        assert nearest.max() <= d * (h / 2) ** 2 + 1e-12
 
 
 class TestSimulate:

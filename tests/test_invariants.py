@@ -2,10 +2,12 @@
 
 Derandomized hypothesis tests over random 1-D grids, noise levels and
 marginals with zero-mass points: the solver meets its marginal tolerance,
-the plan and the potential sum u1 + u2 are invariant under the free gauge
-(nu1, nu2) -> (c nu1, nu2 / c), and swapping the two marginals transposes
-the plan. Under the gauge the factor measures stay exp of the log factors
-and the level bound keeps its product of truncated masses.
+the potentials keep the two-sided kernel (Beurling) bounds, the truncated
+potentials meet the product identity, the plan and the potential sum
+u1 + u2 are invariant under the free gauge (nu1, nu2) -> (c nu1, nu2 / c),
+and swapping the two marginals transposes the plan. Under the gauge the
+factor measures stay exp of the log factors and the level bound keeps its
+product of truncated masses.
 """
 import math
 
@@ -17,7 +19,9 @@ from hypothesis import strategies as st
 from schrobridge import (
     DiscreteMeasure,
     GaussianHeatKernel,
+    check_beurling_bounds,
     check_level_bounds,
+    check_product_identity,
     make_grid,
     plan_matrix,
     rescaled,
@@ -57,6 +61,10 @@ def test_marginals_gauge_and_swap(instance):
     assert sol.final_residual <= TOL
     assert tv_distance(plan.sum(axis=1), mu1.weights) <= TOL + 1e-14
     assert tv_distance(plan.sum(axis=0), mu2.weights) <= 1e-14
+    # both checks raise on a violation
+    check_beurling_bounds(sol, max(source.bounding_radius, target.bounding_radius))
+    n1, n2 = source.n_points - 1, target.n_points - 1
+    check_product_identity(sol, 1, [(0, n2), (n1 // 2, n2 // 2), (n1, 0)])
 
     gauged = rescaled(sol, c)
     assert np.allclose(plan_matrix(gauged), plan, rtol=1e-12, atol=0)

@@ -150,6 +150,17 @@ class TestCliSolve:
         assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
         assert "weights must be finite" in capsys.readouterr().err
 
+    def test_ragged_kernel_names_file_and_line(self, tmp_path, capsys):
+        k = tmp_path / "k.csv"
+        with open(k, "w") as fh:
+            fh.write("2,1\n1\n")
+        cfg = tmp_path / "c.cfg"
+        with open(cfg, "w") as fh:
+            fh.write(f"mu1 = {INSTANCES}/two_point_uniform.csv\n")
+            fh.write(f"mu2 = {INSTANCES}/two_point_uniform.csv\nkernel = {k}\n")
+        assert main(["solve", "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+        assert "k.csv:2: expected 2 fields" in capsys.readouterr().err
+
     def test_non_convergence_exits_2(self, tmp_path):
         p = tmp_path / "m.csv"
         g = make_grid(1, 3.0, 41)

@@ -161,6 +161,19 @@ class TestRunConvergence:
         with pytest.raises(TypeError, match="bug in a member solve"):
             run_convergence(base_instance, fam, PROBES, m=2)
 
+    @pytest.mark.parametrize("m", [0, 0.5, math.nan])
+    def test_m_below_one_rejected_before_any_solve(self, base_instance, monkeypatch, m):
+        q, mu1, mu2 = base_instance
+        fam = make_family(q, mu1, mu2, "kernel_perturbation",
+                          index_set=[4], amplitude=1.0)
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("solved before m was checked")
+
+        monkeypatch.setattr(stability, "solve_schrodinger", no_solve)
+        with pytest.raises(ValueError, match="m >= 1"):
+            run_convergence(base_instance, fam, PROBES, m=m)
+
 
 class TestPotentialSumGauge:
     def test_sum_gap_invariant_under_rescaling(self, base_instance):
