@@ -36,7 +36,6 @@ from .solver import (
     check_level_bounds,
     check_product_identity,
     plan_matrix,
-    potential_at,
     rescaled,
     solve_schrodinger,
     truncated_potentials,

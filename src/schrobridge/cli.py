@@ -57,14 +57,6 @@ def _parse_config_file(path):
     return out
 
 
-def _gaussian_density(grid, mean, var) -> Density:
-    x = grid.points
-    d2 = np.sum((x - np.asarray(mean)[None, :]) ** 2, axis=1)
-    vals = np.exp(-d2 / (2.0 * var))
-    vals = vals / (vals @ grid.cell_volumes)
-    return Density(grid, vals, is_probability=True)
-
-
 def _find_input(run, spec):
     """Path of input spec, or of spec in the config's directory; recorded in run.inputs."""
     for path in (spec, os.path.join(run.config_dir or "", spec)):
@@ -74,26 +66,28 @@ def _find_input(run, spec):
     raise ValueError(f"input file not found: {spec}")
 
 
-def _resolve_density(run, spec):
-    """A density is either a CSV path or gaussian:mean,var on --grid."""
+def _resolve_density(run, key):
+    """The density config ``key`` names: a CSV path or gaussian:mean,var on --grid."""
+    spec = run.get(key)
     if not spec.startswith("gaussian:"):
         return load_density_csv(_find_input(run, spec))
     if run.grid is None:
         raise ValueError("builtin gaussian density needs --grid d,r,n")
-    parts = [float(v) for v in spec[len("gaussian:"):].split(",")]
+    parts = run.get(key, lambda v: _floats(v[len("gaussian:"):]))
     var = parts[-1]
     if not 0 < var < math.inf:
         raise ValueError(f"gaussian variance must be finite and > 0, got {var:g}")
     mean = parts[:-1] or [0.0] * run.grid.dim
     if len(mean) != run.grid.dim:
         raise ValueError("gaussian mean dimension does not match the grid")
-    return _gaussian_density(run.grid, mean, var)
+    vals = np.exp(-np.sum((run.grid.points - mean) ** 2, axis=1) / (2.0 * var))
+    return Density(run.grid, vals / (vals @ run.grid.cell_volumes), is_probability=True)
 
 
-def _resolve_measure(run, spec):
-    if spec.startswith("gaussian:"):
-        return _resolve_density(run, spec).to_measure()
-    return load_measure_csv(_find_input(run, spec))
+def _resolve_measure(run, key):
+    if run.get(key).startswith("gaussian:"):
+        return _resolve_density(run, key).to_measure()
+    return load_measure_csv(_find_input(run, run.get(key)))
 
 
 def _resolve_kernel(run, spec, source, target, eps):
@@ -105,6 +99,11 @@ def _resolve_kernel(run, spec, source, target, eps):
 
 def _floats(text):
     return [float(v) for v in text.split(",")]
+
+
+def _grid(text):
+    d, r, n = text.split(",")
+    return make_grid(int(d), float(r), int(n))
 
 
 class _Run:
@@ -132,27 +131,27 @@ class _Run:
         if args.config:
             self.inputs.append(args.config)
             self.config_dir = os.path.dirname(os.path.abspath(args.config))
-        self.grid = None
-        if "grid" in self.cfg:
-            d, r, n = self.cfg["grid"].split(",")
-            self.grid = make_grid(int(d), float(r), int(n))
+        self.grid = self.get("grid", _grid) if "grid" in self.cfg else None
 
     def get(self, key, cast=str, default=None):
         """``cast`` of the config value, else ``default``; required when that is None."""
         if key in self.cfg:
-            return cast(self.cfg[key])
+            try:
+                return cast(self.cfg[key])
+            except ValueError as exc:
+                raise ValueError(f"{key}: {exc}") from None
         if default is None:
             raise ValueError(f"missing required parameter: {key}")
         return default
 
     def given(self, **casts):
         """Keyword arguments for the keys the config sets; the library defaults the rest."""
-        return {key: cast(self.cfg[key]) for key, cast in casts.items() if key in self.cfg}
+        return {key: self.get(key, cast) for key, cast in casts.items() if key in self.cfg}
 
     def seed(self):
         if "seed" not in self.cfg:
             raise ValueError("a seed is mandatory for stochastic commands")
-        return int(self.cfg["seed"])
+        return self.get("seed", int)
 
     def path(self, name):
         return os.path.join(self.out_dir, name)
@@ -164,8 +163,8 @@ class _Run:
 
 
 def _cmd_solve(run: _Run):
-    mu1 = _resolve_measure(run, run.get("mu1"))
-    mu2 = _resolve_measure(run, run.get("mu2"))
+    mu1 = _resolve_measure(run, "mu1")
+    mu2 = _resolve_measure(run, "mu2")
     eps = run.get("eps", float, 1.0)
     kernel = _resolve_kernel(run, run.get("kernel"), mu1.support, mu2.support, eps)
     mu1 = mu1.normalized()
@@ -179,8 +178,8 @@ def _cmd_solve(run: _Run):
 
 
 def _cmd_control(run: _Run):
-    p0 = _resolve_density(run, run.get("p0"))
-    p1 = _resolve_density(run, run.get("p1"))
+    p0 = _resolve_density(run, "p0")
+    p1 = _resolve_density(run, "p1")
     eps_list = run.get("eps", _floats)
     if not all(0 < eps < math.inf for eps in eps_list):
         raise ValueError("every eps in the list must be finite and > 0")
@@ -199,8 +198,8 @@ def _cmd_control(run: _Run):
 
 
 def _cmd_bridge(run: _Run):
-    p0 = _resolve_density(run, run.get("p0"))
-    p1 = _resolve_density(run, run.get("p1"))
+    p0 = _resolve_density(run, "p0")
+    p1 = _resolve_density(run, "p1")
     eps = run.get("eps", float)
     seed = run.seed()
     n_paths = run.get("n_paths", int, 10000)
@@ -231,10 +230,10 @@ def _write_moment_diagnostics(run: _Run, rows):
 
 
 def _cmd_moment(run: _Run):
-    p1 = _resolve_density(run, run.get("p1"))
+    p1 = _resolve_density(run, "p1")
     opts = run.given(tol=float, damping=float, max_outer=int)
     if "schedule" in run.cfg:
-        opts["eps_schedule"] = _floats(run.cfg["schedule"])
+        opts["eps_schedule"] = run.get("schedule", _floats)
     try:
         result = zero_noise_continuation(p1, run.get("r", float), **opts)
     except NonConvergenceError as exc:
@@ -254,8 +253,8 @@ def _cmd_moment(run: _Run):
 
 
 def _cmd_stability(run: _Run):
-    mu1 = _resolve_measure(run, run.get("mu1"))
-    mu2 = _resolve_measure(run, run.get("mu2"))
+    mu1 = _resolve_measure(run, "mu1")
+    mu2 = _resolve_measure(run, "mu2")
     eps = run.get("eps", float, 1.0)
     kernel = _resolve_kernel(run, run.get("kernel", str, "gaussian:1"),
                              mu1.support, mu2.support, eps)

@@ -19,8 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 DEFAULT_POINT_BUDGET = 10**6
 W2_ORACLE_CAP = 400
@@ -371,6 +369,16 @@ def lattice_neighbors(support: Support):
 # Entropies
 # ---------------------------------------------------------------------------
 
+def logsumexp(a, axis=None):
+    """log(sum(exp(a))) over ``axis``, as scipy.special.logsumexp 1.17 computes it."""
+    top = np.max(a, axis=axis, keepdims=True)
+    ties = a == top
+    count = np.sum(ties, axis=axis, keepdims=True, dtype=float)
+    shift = np.where(np.isfinite(top), top, 0.0)  # an all -inf slice sums to 0
+    rest = np.sum(np.exp(np.where(ties, -np.inf, a) - shift), axis=axis, keepdims=True)
+    return (np.log1p(rest / count) + np.log(count) + top).squeeze(axis)[()]
+
+
 def entropy(p) -> float:
     """integral p log p over the support (negative differential entropy).
 
@@ -404,11 +412,14 @@ def tv_distance(a, b) -> float:
 # ---------------------------------------------------------------------------
 
 def w2_distance(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:
-    """Exact 2-Wasserstein distance via the transport linear program.
+    """Exact 2-Wasserstein distance via the transport LP (the one use of scipy, imported here).
 
     Verification oracle only: refuses combined supports above
     ``W2_ORACLE_CAP`` points (callers must subsample).
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     n, m = mu1.support.n_points, mu2.support.n_points
     if n + m > W2_ORACLE_CAP:
         raise OracleTooLargeError(
@@ -418,10 +429,8 @@ def w2_distance(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:
     a = mu1.weights / mu1.weights.sum()
     b = mu2.weights / mu2.weights.sum()
     cost = pairwise_sq_dists(mu1.support.points, mu2.support.points).ravel()
-    rows = np.concatenate([np.repeat(np.arange(n), m), n + np.tile(np.arange(m), n)])
-    cols = np.concatenate([np.arange(n * m), np.arange(n * m)])
-    a_eq = sparse.coo_matrix(
-        (np.ones(2 * n * m), (rows, cols)), shape=(n + m, n * m)).tocsr()
+    a_eq = sparse.vstack([sparse.kron(sparse.eye(n), np.ones((1, m))),
+                          sparse.kron(np.ones((1, n)), sparse.eye(m))], format="csr")
     res = linprog(
         cost, A_eq=a_eq, b_eq=np.concatenate([a, b]), bounds=(0, None),
         method="highs",

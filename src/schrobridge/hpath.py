@@ -234,7 +234,7 @@ def endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution,
     tgt_small = target
     if target.support.n_points + sub.support.n_points > W2_ORACLE_CAP:
         tgt_small = subsample_to_cap(target.support.points, rng, target.weights)
-    w2_sub = w2_distance(sub, tgt_small)
+    w2_sub = (w2_distance_1d if ens.dim == 1 else w2_distance)(sub, tgt_small)
 
     w2_full = None
     if ens.dim == 1:

@@ -14,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (
     Density,
@@ -25,6 +24,7 @@ from .core import (
     bl_distance,
     empirical_measure,
     lattice_neighbors,
+    logsumexp,
     subsample_to_cap,
     w2_distance,
     w2_distance_1d,

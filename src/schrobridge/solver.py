@@ -18,14 +18,13 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .core import (
     DiscreteMeasure,
     GaussianHeatKernel,
     KernelSpec,
     log_eval_kernel,
-    log_heat,
+    logsumexp,
     same_support,
     tv_distance,
 )
@@ -279,16 +278,6 @@ def _bandwidth(sol: SchroedingerSolution):
     if not isinstance(sol.kernel, GaussianHeatKernel):
         raise TypeError("eps * t needs a heat kernel")
     return sol.kernel.eps * sol.kernel.t
-
-
-def potential_at(sol: SchroedingerSolution, points, side=1):
-    """Evaluate u1 (side=1) or u2 (side=2) off-grid for heat kernels."""
-    k = sol.kernel
-    if not isinstance(k, GaussianHeatKernel):
-        raise TypeError("off-grid potentials need an analytic kernel")
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    grid, log_nu = (k.target, sol.log_nu2) if side == 1 else (k.source, sol.log_nu1)
-    return logsumexp(log_heat(pts, grid.points, k.eps, k.t) + log_nu[None, :], axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.special import logsumexp as scipy_logsumexp
 
 from schrobridge import (
     DenseKernel,
@@ -20,7 +21,7 @@ from schrobridge import (
     w2_distance,
     w2_distance_1d,
 )
-from schrobridge.core import empirical_measure, lattice_neighbors, log_eval_kernel
+from schrobridge.core import empirical_measure, lattice_neighbors, log_eval_kernel, logsumexp
 from conftest import gaussian_density
 
 
@@ -321,6 +322,31 @@ class TestW2:
         m1, m2 = empirical_measure(a[:, None]), empirical_measure(b[:, None])
         assert w2_distance_1d(m1, m2) == pytest.approx(exact, rel=1e-9)
         assert w2_distance(m1, m2) == pytest.approx(exact, rel=1e-9)
+
+
+class TestLogsumexp:
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(shape=st.tuples(st.integers(1, 6), st.integers(1, 6)),
+           seed=st.integers(0, 2**32 - 1), axis=st.sampled_from([None, 0, 1]),
+           scale=st.sampled_from([1e-3, 1.0, 30.0]), offset=st.sampled_from([0.0, 1e3, -1e3]),
+           ties=st.booleans(), spike=st.booleans(), dead_row=st.booleans(),
+           dead_col=st.booleans())
+    def test_matches_scipy_bit_for_bit(self, shape, seed, axis, scale, offset, ties, spike,
+                                       dead_row, dead_col):
+        rng = np.random.default_rng(seed)
+        a = offset + scale * rng.normal(size=shape)
+        if ties:  # repeated maxima
+            a = np.round(a)
+        if spike:  # maxima at 0 far above the rest: log1p of a tiny sum
+            a = np.where(a == a.max(), 0.0, a - a.max() - 20.0)
+        a[rng.random(shape) < 0.25] = -np.inf
+        if dead_row:
+            a[rng.integers(shape[0])] = -np.inf
+        if dead_col:
+            a[:, rng.integers(shape[1])] = -np.inf
+        got, want = logsumexp(a, axis=axis), scipy_logsumexp(a, axis=axis)
+        assert type(got) is type(want)
+        assert np.array_equal(got, want)
 
 
 class TestBLDistance:

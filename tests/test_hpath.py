@@ -173,7 +173,7 @@ def reference_endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution,
     tgt_small = target
     if target.support.n_points + sub.support.n_points > W2_ORACLE_CAP:
         tgt_small = subsample_to_cap(target.support.points, rng, target.weights)
-    w2_sub = w2_distance(sub, tgt_small)
+    w2_sub = (w2_distance_1d if ens.dim == 1 else w2_distance)(sub, tgt_small)
 
     w2_full = None
     if ens.dim == 1:
@@ -404,6 +404,20 @@ class TestEndpointDiagnostics:
         from scipy.stats import chi2
 
         assert stat <= chi2.ppf(0.999, dof)
+
+    def test_1d_subsample_quantile_matches_lp(self):
+        # the bench's shape: 200 path atoms against the 201-atom target subsampled to 200
+        g = make_grid(1, 5.0, 201)
+        sol = control_value(gaussian_density(g, 0.36), gaussian_density(g, 1.0), eps=0.5).solution
+        ens = simulate(sol, 4000, 2, seed=7)
+        rng = np.random.Generator(np.random.Philox(key=ens.seed + 0x9E3779B9))
+        target = sol.mu2.normalized()
+        sub = subsample_to_cap(ens.terminal, rng)
+        tgt_small = subsample_to_cap(target.support.points, rng, target.weights)
+        assert sub.support.n_points == 200 and g.n_points + 200 > W2_ORACLE_CAP
+        got = endpoint_diagnostics(ens, sol, n_bootstrap=0).w2_subsample
+        assert got == w2_distance_1d(sub, tgt_small)
+        assert got == pytest.approx(w2_distance(sub, tgt_small), rel=1e-9, abs=0)
 
     def test_binned_plan_marginals(self, bridge_setup):
         g, p0, p1, sol = bridge_setup

@@ -15,13 +15,13 @@ from schrobridge import (
     fixed_point_step,
     free_energy_upper_bound,
     make_grid,
-    potential_at,
     solve_fixed_point,
     verify_moment_measure,
     zero_noise_continuation,
 )
 import schrobridge.moment
 from schrobridge.control import objective_from_solution
+from schrobridge.core import log_heat
 from schrobridge.moment import (
     DEFAULT_DAMPING,
     DEFAULT_EPS_SCHEDULE,
@@ -41,6 +41,12 @@ def potential_profile(trace: FixedPointTrace):
     return trace.eps * sol.u1 + 0.5 * np.sum(pts**2, axis=1)
 
 
+def u2_at(sol, y):
+    """u2 of a heat-kernel solve at an off-grid point y: log of the heat kernel against nu1."""
+    k = sol.kernel
+    return float(logsumexp(log_heat(y[None, :], k.source.points, k.eps, k.t) + sol.log_nu1))
+
+
 def jensen_gap(trace: FixedPointTrace) -> float:
     """integral of (eps*u2 + |y|^2/2) dP1 minus its value at the barycenter.
 
@@ -52,7 +58,7 @@ def jensen_gap(trace: FixedPointTrace) -> float:
     pts = sol.mu2.support.points
     profile = trace.eps * sol.u2 + 0.5 * np.sum(pts**2, axis=1)
     y0 = pts.T @ p1w / p1w.sum()
-    u2_y0 = float(potential_at(sol, y0[None, :], side=2)[0])
+    u2_y0 = u2_at(sol, y0)
     at_y0 = trace.eps * u2_y0 + 0.5 * float(y0 @ y0)
     return float(profile @ p1w / p1w.sum()) - at_y0
 
