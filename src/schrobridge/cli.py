@@ -90,11 +90,12 @@ def _resolve_measure(run, key):
     return load_measure_csv(_find_input(run, run.get(key)))
 
 
-def _resolve_kernel(run, spec, source, target, eps):
-    if spec.startswith("gaussian:"):
-        t = float(spec[len("gaussian:"):] or 1.0)
-        return GaussianHeatKernel(source=source, target=target, t=t, eps=eps)
-    return load_kernel_csv(_find_input(run, spec), source, target)
+def _resolve_kernel(run, key, source, target, eps, default=None):
+    """The kernel config ``key`` names: a CSV path or gaussian:t (heat time t, default 1)."""
+    if not run.get(key, str, default).startswith("gaussian:"):
+        return load_kernel_csv(_find_input(run, run.get(key)), source, target)
+    t = run.get(key, lambda v: float(v[len("gaussian:"):] or 1.0), 1.0)
+    return GaussianHeatKernel(source=source, target=target, t=t, eps=eps)
 
 
 def _floats(text):
@@ -166,7 +167,7 @@ def _cmd_solve(run: _Run):
     mu1 = _resolve_measure(run, "mu1")
     mu2 = _resolve_measure(run, "mu2")
     eps = run.get("eps", float, 1.0)
-    kernel = _resolve_kernel(run, run.get("kernel"), mu1.support, mu2.support, eps)
+    kernel = _resolve_kernel(run, "kernel", mu1.support, mu2.support, eps)
     mu1 = mu1.normalized()
     mu2 = mu2.normalized()
     sol = solve_schrodinger(kernel, mu1, mu2, **run.given(tol=float, max_iters=int))
@@ -256,8 +257,7 @@ def _cmd_stability(run: _Run):
     mu1 = _resolve_measure(run, "mu1")
     mu2 = _resolve_measure(run, "mu2")
     eps = run.get("eps", float, 1.0)
-    kernel = _resolve_kernel(run, run.get("kernel", str, "gaussian:1"),
-                             mu1.support, mu2.support, eps)
+    kernel = _resolve_kernel(run, "kernel", mu1.support, mu2.support, eps, "gaussian:1")
     mu1 = mu1.normalized()
     mu2 = mu2.normalized()
     kind = run.get("family")
