@@ -232,7 +232,7 @@ def _write_moment_diagnostics(run: _Run, rows):
 
 def _cmd_moment(run: _Run):
     p1 = _resolve_density(run, "p1")
-    opts = run.given(tol=float, damping=float, max_outer=int)
+    opts = run.given(tol=float, max_outer=int)
     if "schedule" in run.cfg:
         opts["eps_schedule"] = run.get("schedule", _floats)
     try:
@@ -295,7 +295,7 @@ _KEYS = {
     "solve": ("mu1", "mu2", "kernel", "eps", "tol", "max_iters"),
     "control": ("p0", "p1", "eps", "tol", "max_iters"),
     "bridge": ("p0", "p1", "eps", "seed", "n_paths", "n_steps", "full_paths", "bins", "tol"),
-    "moment": ("p1", "r", "schedule", "tol", "damping", "max_outer"),
+    "moment": ("p1", "r", "schedule", "tol", "max_outer"),
     "stability": ("mu1", "mu2", "kernel", "eps", "family", "amplitude", "bandwidth",
                   "index_set", "seed", "n_probes", "m", "tol", "r_prime"),
 }

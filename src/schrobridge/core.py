@@ -504,18 +504,29 @@ def _bl_radius(*points):
     return 2.0 ** math.ceil(math.log2(r))
 
 
-def _dictionary_integrals(mu: DiscreteMeasure, dictionary):
-    """integral f dmu for every dictionary function, as one flat vector."""
+def _dictionary_integrals(factors, w, dictionary):
+    """integral f dw for every dictionary function, as one flat vector.
+
+    ``w`` weighs the product of the ``factors`` supports, one array axis per
+    factor. An affine term sums w over the factors its direction misses; a
+    bump is one bump per factor (amplitude on the first), contracted in turn.
+    """
     directions, offsets, bumps = dictionary
-    pts, w = mu.support.points, mu.weights
+    splits = np.cumsum([f.dim for f in factors])[:-1]
     vals = [np.array([w.sum()])]                       # constant function 1
-    proj = pts @ directions.T                          # (n, k)
-    clipped = np.clip(proj[:, :, None] - offsets[None, None, :], -1.0, 1.0)
-    vals.append(np.tensordot(w, clipped, axes=(0, 0)).ravel())
+    for u in directions:
+        parts = np.split(u, splits)
+        met = [k for k, part in enumerate(parts) if np.any(part)]
+        proj = functools.reduce(np.add.outer, [factors[k].points @ parts[k] for k in met])
+        wk = w.sum(axis=tuple(k for k in range(w.ndim) if k not in met))
+        clipped = proj[..., None] - offsets
+        vals.append(np.tensordot(wk, np.clip(clipped, -1.0, 1.0, out=clipped), len(met)))
     for axis, s, amp in bumps:
-        d2 = pairwise_sq_dists(pts, _lattice(axis, mu.support.dim))
-        f = amp * np.exp(-d2 / (2 * s * s))
-        vals.append(w @ f)
+        v = w
+        for k, f in enumerate(factors):
+            g = np.exp(-pairwise_sq_dists(f.points, _lattice(axis, f.dim)) / (2 * s * s))
+            v = np.moveaxis(v, 0, -1) @ (amp * g if k == 0 else g)
+        vals.append(v.ravel())
     return np.concatenate(vals)
 
 
@@ -531,7 +542,8 @@ def bl_distance(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:
         raise ValueError("dimension mismatch")
     dictionary = _bl_dictionary(mu1.support.dim,
                                 _bl_radius(mu1.support.points, mu2.support.points))
-    gaps = _dictionary_integrals(mu1, dictionary) - _dictionary_integrals(mu2, dictionary)
+    gaps = (_dictionary_integrals((mu1.support,), mu1.weights, dictionary)
+            - _dictionary_integrals((mu2.support,), mu2.weights, dictionary))
     return float(np.abs(gaps).max())
 
 
@@ -539,24 +551,12 @@ def product_bl_distance(source: Support, target: Support, w1, w2) -> float:
     """``bl_distance`` of two measures on the product of two supports.
 
     ``w1`` and ``w2`` are (n, m) weight matrices over the pairs (x_i, y_j),
-    such as plan matrices. Equals ``bl_distance`` of the measures on
-    ``product_support(source, target)`` up to rounding, without building
-    that support: the dictionary is integrated against w1 - w2 once, a
-    clipped affine term projects x and y separately, and a Gaussian bump
-    on the product is a source bump times a target bump.
+    such as plan matrices. Equals ``bl_distance`` on ``product_support(source,
+    target)`` up to rounding, from one dictionary integral of w1 - w2.
     """
     w = np.asarray(w1, dtype=float) - np.asarray(w2, dtype=float)
     if w.shape != (source.n_points, target.n_points):
         raise ValueError("weight matrices do not match the supports")
-    x, y = source.points, target.points
-    dx = source.dim
-    directions, offsets, bumps = _bl_dictionary(dx + target.dim, _bl_radius(x, y))
-    vals = [np.array([w.sum()])]
-    for u in directions:
-        proj = (x @ u[:dx])[:, None] + (y @ u[dx:])[None, :]
-        vals.append(np.tensordot(w, np.clip(proj[:, :, None] - offsets, -1.0, 1.0)))
-    for axis, s, amp in bumps:
-        gx = np.exp(-pairwise_sq_dists(x, _lattice(axis, dx)) / (2 * s * s))
-        gy = np.exp(-pairwise_sq_dists(y, _lattice(axis, target.dim)) / (2 * s * s))
-        vals.append(amp * (gx.T @ w @ gy).ravel())
-    return float(np.abs(np.concatenate(vals)).max())
+    dictionary = _bl_dictionary(source.dim + target.dim,
+                                _bl_radius(source.points, target.points))
+    return float(np.abs(_dictionary_integrals((source, target), w, dictionary)).max())

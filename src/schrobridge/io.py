@@ -173,13 +173,12 @@ def solution_payload(sol):
 
 def write_plan_csv(path, sol):
     plan = plan_matrix(sol)
-    cols = [f"{j}," for j in range(plan.shape[1])]
+    # one %-template per row: "" joined by "i," gives "i,0,%.17g\ni,1,%.17g\n..."
+    cells = ["", *(f"{j},%{_FLOAT_SPEC}\n" for j in range(plan.shape[1]))]
     with open(path, "w") as fh:
         fh.write("i,j,mass\n")
         for i, row in enumerate(plan):
-            head = f"{i},"
-            fh.writelines(head + c + format(v, _FLOAT_SPEC) + "\n"
-                          for c, v in zip(cols, row.tolist()))
+            fh.write(f"{i},".join(cells) % tuple(row.tolist()))
 
 
 def write_terminal_csv(path, ens):

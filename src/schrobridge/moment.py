@@ -85,7 +85,7 @@ def lattice_gradient(values, support: Support):
     d = support.dim
     steps, _, fwd, bwd = lattice_neighbors(support)
     has_f, has_b = fwd[:d] >= 0, bwd[:d] >= 0
-    if support.n_points > 1 and np.any(~has_f & ~has_b):
+    if np.any(~has_f & ~has_b):
         raise ValueError("isolated lattice point: gradient undefined")
     own = np.arange(support.n_points)
     diff = values[np.where(has_f, fwd[:d], own)] - values[np.where(has_b, bwd[:d], own)]
@@ -166,8 +166,8 @@ def fixed_point_step(p: Density, p1: Density, eps, r) -> Density:
     return out
 
 
-def solve_fixed_point(p1: Density, eps, r, damping=DEFAULT_DAMPING, tol=1e-9,
-                      max_outer=200, init: Density | None = None) -> FixedPointTrace:
+def solve_fixed_point(p1: Density, eps, r, tol=1e-9, max_outer=200,
+                      init: Density | None = None) -> FixedPointTrace:
     """Anderson-accelerated fixed-point iteration in log space at one noise level.
 
     Works on x = log p with residual f = log(step(p)) - x. Each step after
@@ -176,15 +176,15 @@ def solve_fixed_point(p1: Density, eps, r, damping=DEFAULT_DAMPING, tol=1e-9,
     ``ANDERSON_MEMORY`` differences of f, and x <- log(step(p)) - G gamma
     with G the matching differences of log(step(p)). The first step, and
     any step where f is not finite or the residual grew since the previous
-    step, is the damped step x <- (1 - damping) x + damping log(step(p))
-    and clears the history. Every update is renormalized. Convergence is
-    declared when the undamped map moves the iterate by at most ``tol``
-    in sup norm, and the returned final iterate is that undamped image.
-    The target is recentered to barycenter zero unless already centered.
-    The objective is evaluated once, at the iterate of the last solve.
+    step, is the damped step x <- (1 - a) x + a log(step(p)) with
+    a = ``DEFAULT_DAMPING``, and clears the history. Every update is
+    renormalized. Convergence is declared when the undamped map moves the
+    iterate by at most ``tol`` in sup norm, and the returned final iterate
+    is that undamped image. A zero-valued ``init`` is rejected: damped
+    steps never leave log 0. The target is recentered to barycenter zero
+    unless already centered. The objective is evaluated once, at the
+    iterate of the last solve.
     """
-    if not 0.0 < damping <= 1.0:
-        raise ValueError("damping must lie in (0, 1]")
     if max_outer < 1 or not tol > 0:
         raise ValueError("need max_outer >= 1 and tol > 0")
     p1, _ = recentered(p1)
@@ -194,10 +194,9 @@ def solve_fixed_point(p1: Density, eps, r, damping=DEFAULT_DAMPING, tol=1e-9,
     else:
         if init.support.radii().max() > r * (1 + 1e-9):
             raise ValueError("initial density must be supported in B_r")
-        if damping < 1.0 and np.any(init.values == 0):
-            raise ValueError(
-                "zero-valued initialization cannot escape under damped "
-                "log-space updates; floor it or use damping=1")
+        if np.any(init.values == 0):
+            raise ValueError("zero-valued initialization cannot escape log-space "
+                             "damping; floor it")
         p = init
     iterates = [p]
     residual = math.inf
@@ -205,8 +204,7 @@ def solve_fixed_point(p1: Density, eps, r, damping=DEFAULT_DAMPING, tol=1e-9,
     sol = None
     warm = None
     fallbacks = 0
-    with np.errstate(divide="ignore"):
-        x = np.log(p.values)
+    x = np.log(p.values)
     kernel = GaussianHeatKernel(source=support, target=p1.support, t=1.0, eps=eps)
     for k in range(max_outer):
         image, sol = _step(p, p1, kernel, warm)
@@ -222,9 +220,7 @@ def solve_fixed_point(p1: Density, eps, r, damping=DEFAULT_DAMPING, tol=1e-9,
         if k == 0 or residual > last_residual or not np.all(np.isfinite(f - f_prev)):
             fallbacks += k > 0
             dg, df = [], []
-            # damping = 1 must not form 0 * log 0 at a zero-valued init
-            x_new = (log_image if damping == 1.0
-                     else (1.0 - damping) * x + damping * log_image)
+            x_new = (1.0 - DEFAULT_DAMPING) * x + DEFAULT_DAMPING * log_image
         else:
             dg = [*dg, log_image - g_prev][-ANDERSON_MEMORY:]
             df = [*df, f - f_prev][-ANDERSON_MEMORY:]
@@ -280,8 +276,7 @@ def verify_moment_measure(u_bar, support: Support, p1: Density):
 
 
 def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
-                            tol=1e-9, damping=DEFAULT_DAMPING,
-                            max_outer=200) -> MomentMeasureResult:
+                            tol=1e-9, max_outer=200) -> MomentMeasureResult:
     """Drive the fixed point along a decreasing noise schedule.
 
     The target is recentered once (shift reported); each level warm-starts
@@ -305,8 +300,8 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
     prev = None
     for eps in eps_schedule:
         try:
-            trace = solve_fixed_point(p1c, eps, r, damping=damping, tol=tol,
-                                      max_outer=max_outer, init=prev)
+            trace = solve_fixed_point(p1c, eps, r, tol=tol, max_outer=max_outer,
+                                      init=prev)
             if not trace.converged:
                 raise NonConvergenceError(
                     f"fixed point did not converge at eps={eps:g} "

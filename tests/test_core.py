@@ -388,14 +388,16 @@ class TestBLDistance:
         assert vals[2] < 0.02
 
 
-# (source, target) grids: 1-D pairs with different bounding radii, and
+# (source, target) grids: 1-D pairs with different bounding radii,
 # ball-clipped 2-D grids, whose 4-D product dictionary drops the bump levels
-# with more than _BL_MAX_CENTERS centers.
+# with more than _BL_MAX_CENTERS centers, and mixed 1-D x 2-D pairs in both
+# orders, where an axis direction meets only one of the two factors.
 PRODUCT_GRIDS = [
     ((1, 2.0, 9), (1, 2.0, 9)),
     ((1, 0.5, 5), (1, 3.0, 7)),
     ((2, 1.0, 6), (2, 1.5, 5)),
     ((1, 1.0, 6), (2, 1.0, 5)),
+    ((2, 1.0, 5), (1, 1.0, 6)),
 ]
 
 

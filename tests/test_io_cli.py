@@ -381,13 +381,17 @@ _BRIDGE = "p0 = gaussian:0,0.5\np1 = gaussian:0,1\neps = 0.5\nn_paths = 20\nn_st
      "n_paths: invalid literal for int()"),
     ("solve", "mu1 = gaussian:0,1\nmu2 = gaussian:0,1\nkernel = gaussian:x\n", _GRID,
      "kernel: could not convert string to float"),
+    ("moment", "p1 = gaussian:0,1\nr = 2.0\ndamping = 0.5\n", _GRID,
+     "moment does not read: damping"),
+    ("moment", "p1 = gaussian:0,1\nr = 0.01\nschedule = 1,0.5\n", ["--grid", "1,4,101"],
+     "isolated lattice point"),
 ], ids=["negative_variance", "zero_variance", "zero_bins", "n_paths_zero",
         "n_steps_one", "moment_tol_zero",
         "moment_tol_negative", "solve_tol_nan", "solve_eps_nan", "no_probes",
         "r_prime_nan", "r_prime_empty_ball", "r_prime_zero", "schedule_nan",
         "control_eps_nan", "bandwidth_negative", "bandwidth_zero", "config_typo",
         "ignored_flag", "grid_two_fields", "gaussian_mean_not_a_number", "n_paths_not_an_int",
-        "kernel_time_not_a_number"])
+        "kernel_time_not_a_number", "damping_not_read", "one_point_ball"])
 def test_bad_scalar_parameter_exits_1(tmp_path, capsys, monkeypatch, command, config,
                                       flags, message):
     # every case is rejected before any path is simulated

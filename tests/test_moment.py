@@ -198,23 +198,13 @@ class TestSolveFixedPoint:
         defect = check_convexity(profile, grid_r4)
         assert defect <= 1e-8 * (1.0 + profile.max() - profile.min())
 
-    def test_zero_init_without_damping_converges(self, grid_r4, std_normal):
-        vals = np.zeros(grid_r4.n_points)
-        vals[:3] = 1.0
-        vals = vals / (vals @ grid_r4.cell_volumes)
-        init = Density(grid_r4, vals, is_probability=True)
-        trace = solve_fixed_point(std_normal, 0.5, 4.0, init=init, damping=1.0)
-        assert trace.converged and trace.residual <= 1e-9
-        other = solve_fixed_point(std_normal, 0.5, 4.0)
-        assert np.abs(trace.final.values - other.final.values).max() <= 1e-6
-
     def test_zero_init_with_damping_rejected(self, grid_r4, std_normal):
         vals = np.zeros(grid_r4.n_points)
         vals[:3] = 1.0
         vals = vals / (vals @ grid_r4.cell_volumes)
         bad = Density(grid_r4, vals, is_probability=True)
         with pytest.raises(ValueError, match="damping"):
-            solve_fixed_point(std_normal, 0.5, 4.0, init=bad, damping=0.5)
+            solve_fixed_point(std_normal, 0.5, 4.0, init=bad)
 
 
 class TestAnderson:
