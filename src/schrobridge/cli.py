@@ -102,6 +102,12 @@ def _floats(text):
     return [float(v) for v in text.split(",")]
 
 
+def _bool(text):
+    if text.lower() not in ("true", "false"):
+        raise ValueError(f"expected true or false, got {text!r}")
+    return text.lower() == "true"
+
+
 def _grid(text):
     d, r, n = text.split(",")
     return make_grid(int(d), float(r), int(n))
@@ -205,7 +211,7 @@ def _cmd_bridge(run: _Run):
     seed = run.seed()
     n_paths = run.get("n_paths", int, 10000)
     n_steps = run.get("n_steps", int, 200)
-    keep = run.cfg.get("full_paths", "false").lower() == "true"
+    keep = run.get("full_paths", _bool, False)
     bins = run.get("bins", int, 50)
     if not bins >= 1:
         raise ValueError("need bins >= 1")

@@ -6,9 +6,17 @@ carries quadrature weights (required to interpret density files on
 irregular supports, inferred from uniform spacing in one dimension).
 All numeric output is formatted with 17 significant digits so re-runs are
 byte-identical.
+
+The large CSV artifacts (plan.csv, terminal.csv) go through one vectorized
+renderer, ``_csv_rows``, whose float fields are byte-identical to
+``format(v, ".17g")``. It computes the 17 digits in float64 arithmetic and
+keeps them only where an error bound certifies them; every other value
+(non-finite, near a rounding tie, or with a misestimated exponent) is
+formatted by ``format`` itself, so the bytes match by construction.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import math
@@ -69,19 +77,171 @@ def write_csv(path, header, rows):
 
 
 # ---------------------------------------------------------------------------
+# Vectorized CSV rows, byte-identical to format(v, ".17g")
+# ---------------------------------------------------------------------------
+
+_TIE_MARGIN = 1e-9  # fast digits are certified when the fraction is this far from 1/2
+_CHUNK_ROWS = 4096
+
+
+@functools.lru_cache(maxsize=None)
+def _pow10_table():
+    """Rows (hi, hi's Dekker halves, lo, b), row X + 324 for each decimal exponent
+    -324 <= X <= 308 of a float: hi + lo = 10^k / 2^b in [1, 2) with k = 16 - X."""
+    rows = []
+    for k in range(340, -293, -1):
+        if k >= 0:
+            num = 10 ** k
+            b = num.bit_length() - 1
+            den = 1 << b
+        else:
+            den = 10 ** -k
+            b = -den.bit_length()
+            num = 1 << -b
+        hi = num / den  # int / int is correctly rounded
+        a = int(hi * 2 ** 52)
+        split = hi * 134217729.0 - (hi * 134217729.0 - hi)
+        rows.append((hi, split, hi - split, (num * 2 ** 52 - a * den) / (den * 2 ** 52), b))
+    return np.array(rows).T
+
+
+@functools.lru_cache(maxsize=None)
+def _digit_quads():
+    """The ASCII digits of 0000..9999 as little-endian uint32, in full and with
+    leading zeros NUL (all but the last)."""
+    v = np.arange(10000)[:, None]
+    full = (v // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
+    lead = full * (v >= [1000, 100, 10, 0])
+    return full.view("<u4").ravel(), lead.view("<u4").ravel()
+
+
+# Columns of the per-value characters a .17g field is gathered from: the 17
+# digits, the sign, the exponent's sign and three digits, ".", "0", "e", NUL.
+_SIGN, _EXP, _DOT, _ZERO, _E, _NUL = 17, 18, 22, 23, 24, 25
+
+
+@functools.lru_cache(maxsize=None)
+def _layouts():
+    """Source columns of the 24-slot field of each layout, row 17 c + nd - 1 for
+    nd significant digits and class c: X + 4 for fixed notation (-4 <= X < 17),
+    21 and 22 for scientific with two and three exponent digits."""
+    rows = []
+    for X in (*range(-4, 17), 99, 100):
+        for nd in range(1, 18):
+            if X < 0:
+                cols = [_ZERO, _DOT, *[_ZERO] * (-X - 1), *range(nd)]
+            elif X < 17:
+                cols = [*range(X + 1), *([_DOT, *range(X + 1, nd)] if nd > X + 1 else [])]
+            else:
+                cols = [0, *([_DOT, *range(1, nd)] if nd > 1 else []), _E, _EXP,
+                        *([_EXP + 1] if X == 100 else []), _EXP + 2, _EXP + 3]
+            rows.append([_SIGN, *cols, *[_NUL] * (23 - len(cols))])
+    return np.array(rows)
+
+
+def _float_fields(x):
+    """(n, 24) uint8 fields of format(v, ".17g") for the floats x, NUL where no character.
+
+    Digits come from float arithmetic: x = M 2^(e - 53) times a double-double
+    of 10^(16 - X), X = floor(log10 |x|), through Dekker's exact product. A
+    value whose 17-digit integer D misses [1e16, 1e17) or whose fraction lies
+    within _TIE_MARGIN of 1/2 (the error bound is about 1e-13), and every
+    non-finite value, is formatted by format() itself."""
+    hi, hi1, hi2, lo, b = _pow10_table()
+    with np.errstate(all="ignore"):
+        ax = np.abs(x)
+        zero = ax == 0  # rendered as the digits of 1 with the first one set to 0
+        m, e = np.frexp(ax)
+        X = np.floor(np.log10(np.where(zero, 1.0, ax)))
+        known = np.isfinite(X)
+        X = np.where(known, X, 0).astype(np.int64)
+        t = X + 324
+        M = m * 2.0 ** 53
+        Mh = M * 134217729.0 - (M * 134217729.0 - M)
+        Ml = M - Mh
+        p = M * hi[t]
+        err = ((Mh * hi1[t] - p) + Mh * hi2[t] + Ml * hi1[t]) + Ml * hi2[t]
+        s = b[t].astype(np.int32) + e - 53
+        rest = np.ldexp(err + M * lo[t], s)
+        whole = np.floor(rest)
+        frac = rest - whole
+        D = np.ldexp(p, s).astype(np.int64) + whole.astype(np.int64)
+    D[zero] = 10 ** 16
+    ok = known & (np.abs(frac - 0.5) > _TIE_MARGIN) & (D >= 10 ** 16)
+    D += frac > 0.5
+    ok &= D < 10 ** 17
+    D[~ok] = 10 ** 16
+    lead, low = np.divmod(D, 10 ** 16)
+    high, low = np.divmod(low, 10 ** 8)
+    quads = np.empty((len(x), 4), np.int64)
+    np.divmod(high, 10000, out=(quads[:, 0], quads[:, 1]))
+    np.divmod(low, 10000, out=(quads[:, 2], quads[:, 3]))
+    src = np.empty((len(x), 26), np.uint8)
+    src[:, 0] = 48 + lead
+    src[:, 1:17] = _digit_quads()[0][quads].view(np.uint8)
+    nd = 17 - np.argmax(src[:, 16::-1] != 48, axis=1)  # significant digits
+    src[zero, 0] = 48
+    src[:, _SIGN] = 45 * np.signbit(x)
+    aX = np.abs(X)
+    src[:, _EXP:_DOT] = _digit_quads()[0][aX].view(np.uint8).reshape(-1, 4)
+    src[:, _EXP] = np.where(X < 0, 45, 43)
+    src[:, _DOT:] = np.frombuffer(b".0e\0", np.uint8)
+    notation = np.where((X >= -4) & (X < 17), X + 4, np.where(aX < 100, 21, 22))
+    cols = _layouts().take(17 * notation + nd - 1, axis=0)
+    cols += 26 * np.arange(len(x))[:, None]
+    fields = src.ravel().take(cols)
+    for r in np.flatnonzero(~ok):
+        text = format(float(x[r]), _FLOAT_SPEC).encode()
+        fields[r] = 0
+        fields[r, :len(text)] = np.frombuffer(text, np.uint8)
+    return fields
+
+
+def _int_fields(v):
+    """(n, 4k) uint8 decimal digits of the nonnegative integers v, NUL for leading zeros."""
+    full, lead = _digit_quads()
+    groups = -(-len(str(v.max())) // 4)
+    words = []
+    for g in reversed(range(groups)):
+        above = v // 10000 ** g
+        quad = above % 10000
+        word = lead[quad] * ((above > 0) | (g == 0))
+        if g < groups - 1:  # after a nonzero higher group every digit shows
+            word = np.where(above >= 10000, full[quad], word)
+        words.append(word)
+    return np.stack(words, axis=1).view(np.uint8)
+
+
+def _csv_rows(int_columns, float_columns):
+    """CSV rows of nonnegative integer then (at least one) float64 columns, as bytes
+    per chunk of rows; every float field is byte-identical to format(v, ".17g")."""
+    for a in range(0, len(float_columns[0]), _CHUNK_ROWS):
+        fields = [*(_int_fields(v[a:a + _CHUNK_ROWS]) for v in int_columns),
+                  *(_float_fields(v[a:a + _CHUNK_ROWS]) for v in float_columns)]
+        rows = np.empty((len(fields[0]), sum(f.shape[1] + 1 for f in fields)), np.uint8)
+        end = 0
+        for f in fields:
+            rows[:, end:end + f.shape[1]] = f
+            end += f.shape[1] + 1
+            rows[:, end - 1] = 44
+        rows[:, -1] = 10
+        yield rows.tobytes().translate(None, b"\0")
+
+
+# ---------------------------------------------------------------------------
 # Measures and densities
 # ---------------------------------------------------------------------------
 
 def _parse_table(path, header=True):
     """(names, rows) of a CSV: names are the first non-blank line's fields; every line,
-    bar a header, is a float row of that width. Errors name the file and the line."""
+    bar a header, is a float row of that width. Errors name the file and physical line."""
     with open(path) as fh:
-        lines = [ln for ln in map(str.strip, fh) if ln]
+        lines = [(lineno, ln) for lineno, ln in enumerate(map(str.strip, fh), start=1) if ln]
     if not lines:
         raise ValueError(f"{path}: empty file")
-    names = [h.strip() for h in lines[0].split(",")]
+    names = [h.strip() for h in lines[0][1].split(",")]
     rows = []
-    for lineno, ln in enumerate(lines[header:], start=1 + header):
+    for lineno, ln in lines[header:]:
         parts = ln.split(",")
         if len(parts) != len(names):
             raise ValueError(f"{path}:{lineno}: expected {len(names)} fields, got {len(parts)}")
@@ -173,16 +333,15 @@ def solution_payload(sol):
 
 def write_plan_csv(path, sol):
     plan = plan_matrix(sol)
-    # one %-template per row: "" joined by "i," gives "i,0,%.17g\ni,1,%.17g\n..."
-    cells = ["", *(f"{j},%{_FLOAT_SPEC}\n" for j in range(plan.shape[1]))]
-    with open(path, "w") as fh:
-        fh.write("i,j,mass\n")
-        for i, row in enumerate(plan):
-            fh.write(f"{i},".join(cells) % tuple(row.tolist()))
+    with open(path, "wb") as fh:
+        fh.write(b"i,j,mass\n")
+        fh.writelines(_csv_rows(np.indices(plan.shape).reshape(2, -1), [plan.ravel()]))
 
 
 def write_terminal_csv(path, ens):
-    write_csv(path, [f"x_{k + 1}" for k in range(ens.dim)], ens.terminal)
+    with open(path, "wb") as fh:
+        fh.write(",".join(f"x_{k + 1}" for k in range(ens.dim)).encode() + b"\n")
+        fh.writelines(_csv_rows([], ens.terminal.T))
 
 
 def write_paths_binary(path, ens):
@@ -192,7 +351,7 @@ def write_paths_binary(path, ens):
     with open(path, "wb") as fh:
         n, steps, d = ens.paths.shape
         fh.write(f"{n} {steps} {d}\n".encode())
-        fh.write(np.ascontiguousarray(ens.paths, dtype=np.float64).tobytes())
+        fh.write(memoryview(np.ascontiguousarray(ens.paths, dtype=np.float64)))
 
 
 def sha256_of(path) -> str:

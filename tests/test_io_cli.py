@@ -5,15 +5,29 @@ import shutil
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import schrobridge.data
-from schrobridge import make_grid
+import schrobridge.io
+from schrobridge import (
+    DiscreteMeasure,
+    GaussianHeatKernel,
+    control_value,
+    make_grid,
+    plan_matrix,
+    simulate,
+    solve_schrodinger,
+)
 from schrobridge.cli import main
 from schrobridge.io import (
+    _csv_rows,
     dumps_json,
     fmt,
     load_density_csv,
     load_measure_csv,
+    write_plan_csv,
+    write_terminal_csv,
 )
 from conftest import gaussian_density, save_density_csv, save_measure_csv
 
@@ -46,8 +60,6 @@ class TestCsvRoundTrip:
     def test_measure(self, tmp_path):
         g = make_grid(2, 1.5, 5)
         w = np.linspace(1, 2, g.n_points)
-        from schrobridge import DiscreteMeasure
-
         mu = DiscreteMeasure(g, w / w.sum(), is_probability=True)
         path = tmp_path / "m.csv"
         save_measure_csv(path, mu)
@@ -82,6 +94,17 @@ class TestCsvRoundTrip:
         with pytest.raises(ValueError, match=r"bad\.csv:3"):
             load_measure_csv(path)
 
+    @pytest.mark.parametrize("bad_row, message", [
+        ("1,abc", "could not convert string to float: 'abc'"),
+        ("1", "expected 2 fields, got 1"),
+    ], ids=["bad_field", "ragged_row"])
+    def test_line_numbers_count_blank_lines(self, tmp_path, bad_row, message):
+        path = tmp_path / "blank.csv"
+        path.write_text(f"\nx_1,weight\n\n0,0.5\n{bad_row}\n")
+        with pytest.raises(ValueError) as info:
+            load_measure_csv(path)
+        assert str(info.value) == f"{path}:5: {message}"
+
     def test_missing_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
         with open(path, "w") as fh:
@@ -101,6 +124,69 @@ class TestJsonFormatting:
         assert dumps_json(payload) == dumps_json(payload)
         parsed = json.loads(dumps_json(payload))
         assert parsed["a"][2] == "inf"
+
+
+def _rendered_lines(values):
+    return b"".join(_csv_rows([], [np.asarray(values, dtype=float)])).decode().splitlines()
+
+
+_SWITCHES = [1e16, 1e17, 9.9999999999999995e-5, 1e-4, 1e-5, 99999999999999999.0,
+             1e16 - 2.0, 0.5, 2.0 ** -25, 5e-324, 2.2250738585072014e-308,
+             1.7976931348623157e308]
+
+
+class TestCsvRenderer:
+    """Float fields of plan.csv and terminal.csv are exactly format(v, ".17g")."""
+
+    @settings(derandomize=True, max_examples=300, deadline=None)
+    @given(st.lists(st.floats(allow_subnormal=True), min_size=1, max_size=40))
+    @example([0.0, -0.0, math.nan, math.inf, -math.inf, 5e-324, -5e-324])
+    def test_matches_format_on_any_float(self, values):
+        assert _rendered_lines(values) == [format(v, ".17g") for v in values]
+
+    def test_powers_of_ten_their_neighbours_and_the_notation_switch(self):
+        tens = np.array([float(f"1e{k}") for k in range(-323, 309)])
+        values = np.concatenate([tens, np.nextafter(tens, 0), np.nextafter(tens, np.inf),
+                                 _SWITCHES, np.negative(_SWITCHES)])
+        assert _rendered_lines(values) == [format(v, ".17g") for v in values.tolist()]
+
+    def test_every_value_through_the_fallback(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        values = np.concatenate([
+            rng.standard_normal(500) * 10.0 ** rng.uniform(-330, 300, 500),
+            rng.integers(0, 2 ** 64 - 1, 500, dtype=np.uint64).view(np.float64),
+            [0.0, -0.0, math.nan, math.inf, -math.inf], _SWITCHES])
+        fast = _rendered_lines(values)
+        monkeypatch.setattr(schrobridge.io, "_TIE_MARGIN", 1.0)  # no fraction is certified
+        assert _rendered_lines(values) == fast == [format(v, ".17g") for v in values.tolist()]
+
+    def test_integer_columns_of_any_width(self):
+        ints = np.array([0, 7, 10, 9999, 10000, 12345678, 100000000, 10 ** 18 + 3])
+        masses = np.linspace(-1.0, 1.0, len(ints)) ** 3
+        rows = b"".join(_csv_rows([ints, ints[::-1]], [masses])).decode().splitlines()
+        assert rows == ["%d,%d,%.17g" % r for r in zip(ints, ints[::-1], masses)]
+
+    def test_plan_csv_lines(self, tmp_path):
+        g = make_grid(1, 4.0, 60)
+        w = np.exp(-g.points[:, 0] ** 2)
+        mu = DiscreteMeasure(g, w / w.sum(), is_probability=True)
+        sol = solve_schrodinger(GaussianHeatKernel(source=g, target=g, t=1.0, eps=0.02), mu, mu)
+        plan = plan_matrix(sol)
+        assert (plan == 0).any() and (plan[plan > 0] < 2.3e-308).any()
+        write_plan_csv(tmp_path / "plan.csv", sol)
+        lines = (tmp_path / "plan.csv").read_text().splitlines()
+        assert lines == ["i,j,mass", *("%d,%d,%.17g" % (i, j, plan[i, j])
+                                       for i in range(60) for j in range(60))]
+
+    def test_two_dimensional_terminal_csv_lines(self, tmp_path):
+        g = make_grid(2, 2.0, 7)
+        p0 = gaussian_density(g, 0.4)
+        ens = simulate(control_value(p0, gaussian_density(g, 1.0), eps=0.5).solution,
+                       300, 6, seed=5)
+        write_terminal_csv(tmp_path / "terminal.csv", ens)
+        lines = (tmp_path / "terminal.csv").read_text().splitlines()
+        assert lines == ["x_1,x_2", *(",".join(format(v, ".17g") for v in row)
+                                      for row in ens.terminal.tolist())]
 
 
 class TestCliSolve:
@@ -246,6 +332,17 @@ class TestCliBridge:
         term = np.loadtxt(out / "terminal.csv", delimiter=",", skiprows=1)
         assert np.allclose(paths[:, -1, 0], term)
 
+    def test_full_paths_config_in_any_case(self, tmp_path):
+        p = tmp_path / "p.csv"
+        _write_gaussian_density_csv(p)
+        for value, written in (("TRUE", True), ("False", False)):
+            cfg = tmp_path / f"{value}.cfg"
+            cfg.write_text(f"p0 = {p}\np1 = {p}\neps = 0.5\nn_paths = 20\nn_steps = 4\n"
+                           f"full_paths = {value}\n")
+            out = tmp_path / value
+            assert main(["bridge", "--config", str(cfg), "--out", str(out), "--seed", "7"]) == 0
+            assert (out / "paths.bin").exists() == written
+
     def test_reproducible(self, tmp_path):
         p = tmp_path / "p.csv"
         _write_gaussian_density_csv(p)
@@ -385,13 +482,16 @@ _BRIDGE = "p0 = gaussian:0,0.5\np1 = gaussian:0,1\neps = 0.5\nn_paths = 20\nn_st
      "moment does not read: damping"),
     ("moment", "p1 = gaussian:0,1\nr = 0.01\nschedule = 1,0.5\n", ["--grid", "1,4,101"],
      "isolated lattice point"),
+    ("bridge", _BRIDGE + "full_paths = 1\n", _GRID + ["--seed", "1"],
+     "full_paths: expected true or false, got '1'"),
 ], ids=["negative_variance", "zero_variance", "zero_bins", "n_paths_zero",
         "n_steps_one", "moment_tol_zero",
         "moment_tol_negative", "solve_tol_nan", "solve_eps_nan", "no_probes",
         "r_prime_nan", "r_prime_empty_ball", "r_prime_zero", "schedule_nan",
         "control_eps_nan", "bandwidth_negative", "bandwidth_zero", "config_typo",
         "ignored_flag", "grid_two_fields", "gaussian_mean_not_a_number", "n_paths_not_an_int",
-        "kernel_time_not_a_number", "damping_not_read", "one_point_ball"])
+        "kernel_time_not_a_number", "damping_not_read", "one_point_ball",
+        "full_paths_not_a_bool"])
 def test_bad_scalar_parameter_exits_1(tmp_path, capsys, monkeypatch, command, config,
                                       flags, message):
     # every case is rejected before any path is simulated
