@@ -54,9 +54,12 @@ def _readonly(a):
 # Domain types
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Support:
     """Finite set of points in R^d with quadrature cell volumes.
+
+    Immutable (read-only arrays), compared and hashed by identity;
+    ``same_support`` compares values.
 
     Parameters
     ----------
@@ -84,7 +87,8 @@ class Support:
             raise ValueError("support points and cell volumes must be finite")
         if not np.all(vols > 0):
             raise ValueError("all cell volumes must be positive")
-        if np.unique(pts, axis=0).shape[0] != pts.shape[0]:
+        rows = pts[np.lexsort(pts.T)]
+        if np.any(np.all(rows[1:] == rows[:-1], axis=1)):
             raise ValueError("support points must be pairwise distinct")
         radii = np.linalg.norm(pts, axis=1)
         if radii.max() > self.bounding_radius * (1 + 1e-9) + 1e-12:
@@ -340,8 +344,9 @@ def lattice_neighbors(support: Support):
     steps = np.zeros(d)
     mins = pts.min(axis=0)
     for k in range(d):
-        coords = np.unique(pts[:, k])
-        h = float(np.diff(coords).min()) if len(coords) > 1 else 1.0
+        gaps = np.diff(np.sort(pts[:, k]))
+        gaps = gaps[gaps > 0]
+        h = float(gaps.min()) if gaps.size else 1.0
         j = np.round((pts[:, k] - mins[k]) / h)
         if np.max(np.abs(mins[k] + j * h - pts[:, k])) > 1e-8 * max(1.0, h):
             raise ValueError("support is not a regular lattice")
@@ -461,8 +466,8 @@ def w2_distance_1d(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:
 
     x1, c1 = sorted_cdf(mu1)
     x2, c2 = sorted_cdf(mu2)
-    levels = np.union1d(c1, c2)
-    levels = levels[(levels > 0) & (levels <= 1.0)]
+    levels = np.sort(np.concatenate([c1, c2]))
+    levels = levels[(levels > 0) & (levels <= 1.0) & np.append(True, levels[1:] != levels[:-1])]
     prev = np.concatenate([[0.0], levels[:-1]])
     mid = 0.5 * (prev + levels)
     q1 = x1[np.minimum(np.searchsorted(c1, mid, side="left"), len(x1) - 1)]
@@ -504,28 +509,52 @@ def _bl_radius(*points):
     return 2.0 ** math.ceil(math.log2(r))
 
 
-def _dictionary_integrals(factors, w, dictionary):
-    """integral f dw for every dictionary function, as one flat vector.
+@functools.lru_cache(maxsize=8)
+def _dictionary_tables(factors, radius):
+    """The dictionary evaluated on the product of the ``factors`` supports.
 
-    ``w`` weighs the product of the ``factors`` supports, one array axis per
-    factor. An affine term sums w over the factors its direction misses; a
-    bump is one bump per factor (amplitude on the first), contracted in turn.
+    Returns read-only (affine, bumps): for each direction, the factors it
+    meets and its clipped projections (one array axis per met factor,
+    offsets last); for each bump level, one bump matrix per factor
+    (amplitude on the first). Cached by the identity of the supports,
+    which are immutable, so a ladder of plans on one pair of supports
+    evaluates the dictionary once.
     """
-    directions, offsets, bumps = dictionary
+    directions, offsets, bumps = _bl_dictionary(sum(f.dim for f in factors), radius)
     splits = np.cumsum([f.dim for f in factors])[:-1]
-    vals = [np.array([w.sum()])]                       # constant function 1
+    affine = []
     for u in directions:
         parts = np.split(u, splits)
-        met = [k for k, part in enumerate(parts) if np.any(part)]
+        met = tuple(k for k, part in enumerate(parts) if np.any(part))
         proj = functools.reduce(np.add.outer, [factors[k].points @ parts[k] for k in met])
-        wk = w.sum(axis=tuple(k for k in range(w.ndim) if k not in met))
         clipped = proj[..., None] - offsets
-        vals.append(np.tensordot(wk, np.clip(clipped, -1.0, 1.0, out=clipped), len(met)))
+        affine.append((met, np.clip(clipped, -1.0, 1.0, out=clipped)))
+    bump_mats = []
     for axis, s, amp in bumps:
+        g = [np.exp(-pairwise_sq_dists(f.points, _lattice(axis, f.dim)) / (2 * s * s))
+             for f in factors]
+        bump_mats.append((amp * g[0], *g[1:]))
+    for table in [t for _, t in affine] + [g for mats in bump_mats for g in mats]:
+        table.setflags(write=False)
+    return tuple(affine), tuple(bump_mats)
+
+
+def _dictionary_integrals(w, tables):
+    """integral f dw for every dictionary function, as one flat vector.
+
+    ``w`` weighs the product of the supports ``tables`` was built on, one
+    array axis per factor. An affine term sums w over the factors its
+    direction misses; a bump contracts w with its factor matrices in turn.
+    """
+    affine, bump_mats = tables
+    vals = [np.array([w.sum()])]                       # constant function 1
+    for met, clipped in affine:
+        wk = w.sum(axis=tuple(k for k in range(w.ndim) if k not in met))
+        vals.append(np.tensordot(wk, clipped, len(met)))
+    for mats in bump_mats:
         v = w
-        for k, f in enumerate(factors):
-            g = np.exp(-pairwise_sq_dists(f.points, _lattice(axis, f.dim)) / (2 * s * s))
-            v = np.moveaxis(v, 0, -1) @ (amp * g if k == 0 else g)
+        for g in mats:
+            v = np.moveaxis(v, 0, -1) @ g
         vals.append(v.ravel())
     return np.concatenate(vals)
 
@@ -540,10 +569,9 @@ def bl_distance(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:
     """
     if mu1.support.dim != mu2.support.dim:
         raise ValueError("dimension mismatch")
-    dictionary = _bl_dictionary(mu1.support.dim,
-                                _bl_radius(mu1.support.points, mu2.support.points))
-    gaps = (_dictionary_integrals((mu1.support,), mu1.weights, dictionary)
-            - _dictionary_integrals((mu2.support,), mu2.weights, dictionary))
+    radius = _bl_radius(mu1.support.points, mu2.support.points)
+    gaps = (_dictionary_integrals(mu1.weights, _dictionary_tables((mu1.support,), radius))
+            - _dictionary_integrals(mu2.weights, _dictionary_tables((mu2.support,), radius)))
     return float(np.abs(gaps).max())
 
 
@@ -557,6 +585,5 @@ def product_bl_distance(source: Support, target: Support, w1, w2) -> float:
     w = np.asarray(w1, dtype=float) - np.asarray(w2, dtype=float)
     if w.shape != (source.n_points, target.n_points):
         raise ValueError("weight matrices do not match the supports")
-    dictionary = _bl_dictionary(source.dim + target.dim,
-                                _bl_radius(source.points, target.points))
-    return float(np.abs(_dictionary_integrals((source, target), w, dictionary)).max())
+    tables = _dictionary_tables((source, target), _bl_radius(source.points, target.points))
+    return float(np.abs(_dictionary_integrals(w, tables)).max())

@@ -40,6 +40,8 @@ def _json_value(obj):
         return "{" + ", ".join(
             f"{json.dumps(str(k))}: {_json_value(v)}" for k, v in obj.items()) + "}"
     if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f" and obj.ndim == 1 and np.isfinite(obj).all():
+            return "[" + ", ".join([format(v, _FLOAT_SPEC) for v in obj.tolist()]) + "]"
         obj = obj.tolist()
     if isinstance(obj, (list, tuple)):
         return "[" + ", ".join(_json_value(v) for v in obj) + "]"

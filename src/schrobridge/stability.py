@@ -71,10 +71,14 @@ def make_family(base_q: KernelSpec, base_mu1: DiscreteMeasure, base_mu2: Discret
     bandwidth / n and re-gridded.
     kind = "marginal_empirical": both marginals replaced by n seeded
     samples projected to the grid (the index is the sample count).
+    The indices must be strictly increasing positive integers, since a
+    ladder's trend runs from its first member to its last.
     """
     if not all(float(n).is_integer() and n > 0 for n in index_set):
         raise ValueError("family indices must be positive integers")
     index_set = tuple(int(n) for n in index_set)
+    if any(b <= a for a, b in zip(index_set, index_set[1:])):
+        raise ValueError(f"index_set must be strictly increasing, got {list(index_set)}")
     if not math.isfinite(amplitude):
         raise ValueError("amplitude must be finite")
     if not 0 < bandwidth < math.inf:

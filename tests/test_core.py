@@ -1,4 +1,6 @@
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -21,7 +23,14 @@ from schrobridge import (
     w2_distance,
     w2_distance_1d,
 )
-from schrobridge.core import empirical_measure, lattice_neighbors, log_eval_kernel, logsumexp
+from schrobridge.core import (
+    _dictionary_tables,
+    empirical_measure,
+    lattice_neighbors,
+    log_eval_kernel,
+    logsumexp,
+    same_support,
+)
 from conftest import gaussian_density
 
 
@@ -421,3 +430,60 @@ class TestProductBLDistance:
         g = make_grid(1, 1.0, 4)
         with pytest.raises(ValueError, match="do not match"):
             product_bl_distance(g, g, np.ones((4, 3)), np.ones((4, 3)))
+
+
+def _two_plans(source, target, seed=3):
+    rng = np.random.default_rng(seed)
+    return [rng.dirichlet(np.ones(source.n_points * target.n_points)).reshape(
+        source.n_points, target.n_points) for _ in range(2)]
+
+
+class TestDictionaryTableCache:
+    """The dictionary tables are cached per set of supports; no value depends on the cache."""
+
+    def test_equal_supports_give_the_values_of_one_shared_support(self):
+        g = make_grid(1, 2.0, 15)
+        twin = Support(points=g.points.copy(), cell_volumes=g.cell_volumes.copy(),
+                       bounding_radius=g.bounding_radius)
+        assert twin != g and same_support(twin, g)
+        w1, w2 = _two_plans(g, g)
+        shared = product_bl_distance(g, g, w1, w2)
+        assert product_bl_distance(g, twin, w1, w2).hex() == shared.hex()
+        assert product_bl_distance(twin, twin, w1, w2).hex() == shared.hex()
+        mu, nu = DiscreteMeasure(g, w1.sum(axis=1)), DiscreteMeasure(g, w2.sum(axis=1))
+        assert (bl_distance(DiscreteMeasure(twin, mu.weights), nu).hex()
+                == bl_distance(mu, nu).hex())
+
+    def test_repeated_and_cleared_calls_agree_bit_for_bit(self):
+        source, target = make_grid(1, 2.0, 11), make_grid(2, 1.0, 6)
+        w1, w2 = _two_plans(source, target)
+        _dictionary_tables.cache_clear()
+        first = product_bl_distance(source, target, w1, w2).hex()
+        again = [product_bl_distance(source, target, w1, w2).hex() for _ in range(3)]
+        info = _dictionary_tables.cache_info()
+        assert again == [first] * 3 and (info.misses, info.hits) == (1, 3)
+        _dictionary_tables.cache_clear()
+        assert product_bl_distance(source, target, w1, w2).hex() == first
+
+    def test_tables_are_read_only(self):
+        g = make_grid(1, 1.0, 6)
+        affine, bumps = _dictionary_tables((g, g), 1.0)
+        for table in [t for _, t in affine] + [m for mats in bumps for m in mats]:
+            with pytest.raises(ValueError, match="read-only"):
+                table[...] = 0.0
+
+    def test_cache_is_bounded(self):
+        _dictionary_tables.cache_clear()
+        first = make_grid(1, 1.0, 4)
+        released = weakref.ref(first)
+        w = np.full(4, 0.25)
+        bl_distance(DiscreteMeasure(first, w), DiscreteMeasure(first, w))
+        del first
+        maxsize = _dictionary_tables.cache_info().maxsize
+        assert maxsize is not None
+        for _ in range(2 * maxsize):
+            g = make_grid(1, 1.0, 4)
+            bl_distance(DiscreteMeasure(g, w), DiscreteMeasure(g, w))
+        gc.collect()
+        assert _dictionary_tables.cache_info().currsize == maxsize
+        assert released() is None

@@ -125,6 +125,16 @@ class TestJsonFormatting:
         parsed = json.loads(dumps_json(payload))
         assert parsed["a"][2] == "inf"
 
+    @pytest.mark.parametrize("values", [
+        np.array([0.1, -0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.7976931348623157e308]),
+        np.array([math.nan, 1.0 / 3.0, math.inf, -0.0, -math.inf, 5e-324]),
+        np.array([0.1, -2.5e-40, 3.0], dtype=np.float32),
+    ], ids=["finite", "non_finite", "float32"])
+    def test_float_array_matches_per_element_output(self, values):
+        per_element = "[" + ", ".join(dumps_json(v)[:-1] for v in values.tolist()) + "]"
+        assert dumps_json(values) == per_element + "\n"
+        assert dumps_json({"a": values}) == '{"a": ' + per_element + "}\n"
+
 
 def _rendered_lines(values):
     return b"".join(_csv_rows([], [np.asarray(values, dtype=float)])).decode().splitlines()
@@ -484,6 +494,9 @@ _BRIDGE = "p0 = gaussian:0,0.5\np1 = gaussian:0,1\neps = 0.5\nn_paths = 20\nn_st
      "isolated lattice point"),
     ("bridge", _BRIDGE + "full_paths = 1\n", _GRID + ["--seed", "1"],
      "full_paths: expected true or false, got '1'"),
+    ("stability", "mu1 = gaussian:0,1\nmu2 = gaussian:0,1\n"
+     "family = kernel_perturbation\nindex_set = 64,32,16,8,4\n",
+     _GRID + ["--seed", "1"], "index_set must be strictly increasing"),
 ], ids=["negative_variance", "zero_variance", "zero_bins", "n_paths_zero",
         "n_steps_one", "moment_tol_zero",
         "moment_tol_negative", "solve_tol_nan", "solve_eps_nan", "no_probes",
@@ -491,7 +504,7 @@ _BRIDGE = "p0 = gaussian:0,0.5\np1 = gaussian:0,1\neps = 0.5\nn_paths = 20\nn_st
         "control_eps_nan", "bandwidth_negative", "bandwidth_zero", "config_typo",
         "ignored_flag", "grid_two_fields", "gaussian_mean_not_a_number", "n_paths_not_an_int",
         "kernel_time_not_a_number", "damping_not_read", "one_point_ball",
-        "full_paths_not_a_bool"])
+        "full_paths_not_a_bool", "index_set_descending"])
 def test_bad_scalar_parameter_exits_1(tmp_path, capsys, monkeypatch, command, config,
                                       flags, message):
     # every case is rejected before any path is simulated

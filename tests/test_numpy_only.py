@@ -1,4 +1,5 @@
-"""CLI commands on 1-D grids run on numpy alone; scipy loads only for the d >= 2 W2 oracle.
+"""CLI commands on 1-D grids run on numpy alone, without numpy.ma; scipy loads only for
+the d >= 2 W2 oracle.
 
 Each check runs in a fresh interpreter, because the test process itself
 imports scipy.
@@ -44,6 +45,7 @@ for command, (config, flags) in configs.items():
     status = main([command, "--config", cfg, "--out", os.path.join(out, command), *flags])
     assert status == 0, (command, status)
     assert not scipy_modules(), (command, scipy_modules())
+    assert "numpy.ma" not in sys.modules, command
 """
 
 ORACLE_2D = PRELUDE + """

@@ -92,6 +92,13 @@ class TestMakeFamily:
         with pytest.raises(ValueError, match="integers"):
             make_family(q, mu1, mu2, "kernel_perturbation", index_set=index_set)
 
+    @pytest.mark.parametrize("index_set", [[64, 32, 16, 8, 4], [4, 4, 8]],
+                             ids=["descending", "duplicate"])
+    def test_indices_out_of_order_rejected(self, base_instance, index_set):
+        q, mu1, mu2 = base_instance
+        with pytest.raises(ValueError, match="index_set must be strictly increasing"):
+            make_family(q, mu1, mu2, "kernel_perturbation", index_set=index_set)
+
     @pytest.mark.parametrize("amplitude", [math.nan, math.inf])
     def test_non_finite_amplitude_rejected(self, base_instance, amplitude):
         q, mu1, mu2 = base_instance
