@@ -32,11 +32,7 @@ from .core import (
 )
 from .solver import (
     SchroedingerSolution,
-    check_beurling_bounds,
-    check_level_bounds,
-    check_product_identity,
     plan_matrix,
-    rescaled,
     solve_schrodinger,
     truncated_potentials,
 )
@@ -44,15 +40,12 @@ from .control import (
     ControlValueReport,
     control_value,
     dual_variables,
-    free_energy_objective,
-    free_energy_upper_bound,
 )
 from .hpath import PathEnsemble, drift, endpoint_diagnostics, sample_density, simulate
 from .moment import (
     FixedPointTrace,
     MomentMeasureResult,
     check_convexity,
-    fixed_point_step,
     solve_fixed_point,
     verify_moment_measure,
     zero_noise_continuation,

@@ -200,7 +200,8 @@ def _cmd_control(run: _Run):
     write_json(run.path("control.json"),
                {"reports": [dict(eps=eps, **rep.as_dict()) for eps, rep in reports]})
     write_csv(run.path("control_sweep.csv"), ["eps", "value", "max_pairwise_gap"],
-              [(eps, rep.value, rep.max_pairwise_gap) for eps, rep in reports])
+              [eps_list, [rep.value for _, rep in reports],
+               [rep.max_pairwise_gap for _, rep in reports]])
     return 0
 
 
@@ -233,7 +234,7 @@ def _write_moment_diagnostics(run: _Run, rows):
     columns = ["eps", "residual", "objective", "bl_drift", "convexity_defect",
                "pushforward_error", "outer_steps", "fallbacks"]
     write_csv(run.path("moment_diagnostics.csv"), columns,
-              [[row[c] for c in columns] for row in rows])
+              [[row[c] for row in rows] for c in columns])
 
 
 def _cmd_moment(run: _Run):
@@ -279,10 +280,9 @@ def _cmd_stability(run: _Run):
                                             mu2.support.bounding_radius))))
     report = run_convergence((kernel, mu1, mu2), family, probes, m,
                              **run.given(tol=float, r_prime=float))
-    write_csv(run.path("stability.csv"),
-              ["n", "plan_bl", "product_gap", "potential_gap", "supnorm_gap"],
-              [(row.n, row.plan_bl, row.product_gap, row.potential_gap,
-                row.supnorm_gap) for row in report.rows])
+    columns = ["n", "plan_bl", "product_gap", "potential_gap", "supnorm_gap"]
+    write_csv(run.path("stability.csv"), columns,
+              [[getattr(row, c) for row in report.rows] for c in columns])
     summary = report.summary()
     summary["semiconvexity_constant"] = semiconvexity_constant(kernel)
     write_json(run.path("stability_summary.json"), summary)

@@ -14,12 +14,11 @@ with their worst pairwise gap.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .core import Density, GaussianHeatKernel, Support, entropy
+from .core import Density, GaussianHeatKernel, entropy
 from .solver import SchroedingerSolution, _bandwidth, plan_matrix, solve_schrodinger
 
 @dataclass(frozen=True)
@@ -125,17 +124,6 @@ def second_moment(p: Density) -> float:
     return float(np.sum(p.support.points**2, axis=1) @ w)
 
 
-def free_energy_objective(p: Density, p1: Density, eps, r) -> float:
-    """Objective S(P) - eps * V(P, P1) + 0.5 integral |x|^2 dP.
-
-    Evaluates the minimized functional at one candidate density supported
-    in B_r; this is a single evaluation, not the infimum.
-    """
-    if np.any((p.values > 0) & (p.support.radii() > r * (1 + 1e-9))):
-        raise ValueError("candidate density has mass outside B_r")
-    return _objective(control_value(p, p1, eps), p)
-
-
 def objective_from_solution(sol: SchroedingerSolution, p: Density, p1: Density) -> float:
     """Same objective from an existing solve for (p, p1); eps is eps * t of sol's heat kernel."""
     return _objective(report_from_solution(sol, p1), p)
@@ -144,22 +132,3 @@ def objective_from_solution(sol: SchroedingerSolution, p: Density, p1: Density) 
 def _objective(report: ControlValueReport, p: Density) -> float:
     return (entropy(p) - _bandwidth(report.solution) * report.value
             + 0.5 * second_moment(p))
-
-
-def free_energy_upper_bound(p1: Density | None, r, support: Support | None = None) -> float:
-    """Uniform-candidate bound -log Vol(B_r) + 0.5 * mean of |x|^2 over B_r.
-
-    With a grid support the bound uses the grid's total cell volume and
-    midpoint quadrature, making it exactly the objective of the uniform
-    density on that grid with the control term dropped. Without a support
-    the closed-form ball volume is used. Independent of p1 and of the noise
-    level eps.
-    """
-    if support is not None:
-        vol = support.total_volume
-        mean_sq = float(
-            np.sum(support.points**2, axis=1) @ support.cell_volumes) / vol
-        return -math.log(vol) + 0.5 * mean_sq
-    d = p1.support.dim if p1 is not None else 1
-    vol = math.pi ** (d / 2) / math.gamma(d / 2 + 1) * r**d
-    return -math.log(vol) + 0.5 * d * r * r / (d + 2)

@@ -148,8 +148,10 @@ class DiscreteMeasure:
         return self.support.points.T @ self.weights / self.total_mass
 
     def normalized(self) -> "DiscreteMeasure":
-        return DiscreteMeasure(self.support, self.weights / self.weights.sum(),
-                               is_probability=True)
+        total = self.total_mass
+        if not total > 0:
+            raise ValueError("cannot normalize a measure of zero total mass")
+        return DiscreteMeasure(self.support, self.weights / total, is_probability=True)
 
 
 @dataclass(frozen=True)

@@ -7,15 +7,16 @@ irregular supports, inferred from uniform spacing in one dimension).
 All numeric output is formatted with 17 significant digits so re-runs are
 byte-identical.
 
-The large CSV artifacts (plan.csv, terminal.csv) go through one vectorized
-renderer, ``_csv_rows``, whose float fields are byte-identical to
-``format(v, ".17g")``. It computes the 17 digits in float64 arithmetic and
-keeps them only where an error bound certifies them; every other value
-(non-finite, near a rounding tie, or with a misestimated exponent) is
-formatted by ``format`` itself, so the bytes match by construction.
+Every CSV artifact goes through one vectorized renderer, ``_csv_rows``,
+whose float fields are byte-identical to ``format(v, ".17g")``. It computes
+the 17 digits in float64 arithmetic and keeps them only where an error
+bound certifies them; every other value (non-finite, near a rounding tie,
+or with a misestimated exponent) is formatted by ``format`` itself, so the
+bytes match by construction.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import hashlib
 import json
@@ -69,13 +70,11 @@ def write_json(path, obj):
         fh.write(dumps_json(obj))
 
 
-def write_csv(path, header, rows):
-    with open(path, "w") as fh:
-        fh.write(",".join(header) + "\n")
-        for row in rows:
-            fh.write(",".join(
-                fmt(v) if isinstance(v, (float, np.floating)) else str(v)
-                for v in row) + "\n")
+def write_csv(path, header, columns):
+    """CSV of equal-length columns under ``header``; see ``_csv_rows`` for the fields."""
+    with open(path, "wb") as fh:
+        fh.write(",".join(header).encode() + b"\n")
+        fh.writelines(_csv_rows([np.asarray(c) for c in columns]))
 
 
 # ---------------------------------------------------------------------------
@@ -110,10 +109,16 @@ def _pow10_table():
 @functools.lru_cache(maxsize=None)
 def _digit_quads():
     """The ASCII digits of 0000..9999 as little-endian uint32, in full and with
-    leading zeros NUL (all but the last)."""
-    v = np.arange(10000)[:, None]
-    full = (v // [1000, 100, 10, 1] % 10 + 48).astype(np.uint8)
-    lead = full * (v >= [1000, 100, 10, 0])
+    leading zeros NUL (all but the last). Filled in place in uint8: (10000, 4)
+    integer temporaries would stay in the heap of every process writing a CSV."""
+    full = np.empty((10, 10, 10, 10, 4), np.uint8)
+    for k in range(4):
+        full[..., k] = np.arange(48, 58, dtype=np.uint8).reshape([-1 if i == k else 1
+                                                                  for i in range(4)])
+    full = full.reshape(10000, 4)
+    lead = full.copy()
+    for k, below in enumerate((1000, 100, 10)):
+        lead[:below, k] = 0
     return full.view("<u4").ravel(), lead.view("<u4").ravel()
 
 
@@ -201,6 +206,8 @@ def _float_fields(x):
 
 def _int_fields(v):
     """(n, 4k) uint8 decimal digits of the nonnegative integers v, NUL for leading zeros."""
+    if v.min() < 0:
+        raise ValueError("integer CSV columns must be nonnegative")
     full, lead = _digit_quads()
     groups = -(-len(str(v.max())) // 4)
     words = []
@@ -214,12 +221,15 @@ def _int_fields(v):
     return np.stack(words, axis=1).view(np.uint8)
 
 
-def _csv_rows(int_columns, float_columns):
-    """CSV rows of nonnegative integer then (at least one) float64 columns, as bytes
-    per chunk of rows; every float field is byte-identical to format(v, ".17g")."""
-    for a in range(0, len(float_columns[0]), _CHUNK_ROWS):
-        fields = [*(_int_fields(v[a:a + _CHUNK_ROWS]) for v in int_columns),
-                  *(_float_fields(v[a:a + _CHUNK_ROWS]) for v in float_columns)]
+def _csv_rows(columns):
+    """CSV rows of (at least one) equal-length columns, as bytes per chunk of rows.
+
+    Each column is rendered by its dtype: an integer column (nonnegative, else
+    ValueError) in decimal, any other as float64, byte-identical to format(v, ".17g")."""
+    for a in range(0, len(columns[0]), _CHUNK_ROWS):
+        fields = [_int_fields(v[a:a + _CHUNK_ROWS]) if v.dtype.kind in "iu"
+                  else _float_fields(v[a:a + _CHUNK_ROWS].astype(float, copy=False))
+                  for v in columns]
         rows = np.empty((len(fields[0]), sum(f.shape[1] + 1 for f in fields)), np.uint8)
         end = 0
         for f in fields:
@@ -256,31 +266,40 @@ def _parse_table(path, header=True):
     return names, np.asarray(rows)
 
 
-def _split_columns(path, header, data, value_name):
+@contextlib.contextmanager
+def _errors_name(path):
+    """Prefix every ValueError raised inside with the file's path."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
+def _split_columns(header, data, value_name):
     d = 0
     while f"x_{d + 1}" in header:
         d += 1
     if d == 0:
-        raise ValueError(f"{path}: no coordinate columns x_1..x_d in header")
+        raise ValueError("no coordinate columns x_1..x_d in header")
     coords = np.stack([data[:, header.index(f"x_{k + 1}")] for k in range(d)], axis=1)
     if value_name not in header:
-        raise ValueError(f"{path}: header must contain {value_name}")
+        raise ValueError(f"header must contain {value_name}")
     values = data[:, header.index(value_name)]
     vols = data[:, header.index("cell_volume")] if "cell_volume" in header else None
     return coords, values, vols
 
 
-def _infer_volumes(path, coords, vols):
+def _infer_volumes(coords, vols):
     if vols is not None:
         return vols
     if coords.shape[1] != 1:
-        raise ValueError(f"{path}: cell_volume column required for dim > 1 densities")
+        raise ValueError("cell_volume column required for dim > 1 densities")
     x = np.sort(coords[:, 0])
     if len(x) < 2:
-        raise ValueError(f"{path}: cannot infer cell volume from one point")
+        raise ValueError("cannot infer cell volume from one point")
     gaps = np.diff(x)
     if gaps.max() - gaps.min() > 1e-9 * max(1.0, gaps.max()):
-        raise ValueError(f"{path}: non-uniform spacing, add a cell_volume column")
+        raise ValueError("non-uniform spacing, add a cell_volume column")
     return np.full(len(x), gaps.mean())
 
 
@@ -290,22 +309,31 @@ def _support_from(coords, vols):
 
 
 def load_measure_csv(path) -> DiscreteMeasure:
+    """Measure of a weight file; every error, zero total mass included, names the file."""
     header, data = _parse_table(path)
-    coords, weights, vols = _split_columns(path, header, data, "weight")
-    if vols is None:
-        vols = np.ones(len(weights))
-    sup = _support_from(coords, vols)
-    return DiscreteMeasure(sup, weights,
-                           is_probability=abs(weights.sum() - 1.0) <= 1e-12)
+    with _errors_name(path):
+        coords, weights, vols = _split_columns(header, data, "weight")
+        if vols is None:
+            vols = np.ones(len(weights))
+        mu = DiscreteMeasure(_support_from(coords, vols), weights,
+                             is_probability=abs(weights.sum() - 1.0) <= 1e-12)
+        if not mu.total_mass > 0:
+            raise ValueError("weights have zero total mass")
+    return mu
 
 
 def load_density_csv(path) -> Density:
+    """Density of a density file; every error, zero total mass included, names the file."""
     header, data = _parse_table(path)
-    coords, values, vols = _split_columns(path, header, data, "density")
-    vols = _infer_volumes(path, coords, vols)
-    sup = _support_from(coords, vols)
-    mass = float(values @ vols)
-    return Density(sup, values, is_probability=abs(mass - 1.0) <= 1e-10)
+    with _errors_name(path):
+        coords, values, vols = _split_columns(header, data, "density")
+        vols = _infer_volumes(coords, vols)
+        mass = float(values @ vols)
+        p = Density(_support_from(coords, vols), values,
+                    is_probability=abs(mass - 1.0) <= 1e-10)
+        if not mass > 0:
+            raise ValueError("density has zero total mass")
+    return p
 
 
 def load_kernel_csv(path, source: Support, target: Support) -> DenseKernel:
@@ -335,15 +363,11 @@ def solution_payload(sol):
 
 def write_plan_csv(path, sol):
     plan = plan_matrix(sol)
-    with open(path, "wb") as fh:
-        fh.write(b"i,j,mass\n")
-        fh.writelines(_csv_rows(np.indices(plan.shape).reshape(2, -1), [plan.ravel()]))
+    write_csv(path, ["i", "j", "mass"], [*np.indices(plan.shape).reshape(2, -1), plan.ravel()])
 
 
 def write_terminal_csv(path, ens):
-    with open(path, "wb") as fh:
-        fh.write(",".join(f"x_{k + 1}" for k in range(ens.dim)).encode() + b"\n")
-        fh.writelines(_csv_rows([], ens.terminal.T))
+    write_csv(path, [f"x_{k + 1}" for k in range(ens.dim)], ens.terminal.T)
 
 
 def write_paths_binary(path, ens):

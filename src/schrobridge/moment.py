@@ -150,22 +150,6 @@ def _step(p: Density, p1: Density, kernel: GaussianHeatKernel, init_log_nu2=None
     return out, sol
 
 
-def fixed_point_step(p: Density, p1: Density, eps, r) -> Density:
-    """Apply the map p -> normalize(exp(-eps * u1 - |x|^2 / 2)) on B_r.
-
-    u1 is the source potential of the heat-kernel Schrodinger solve with
-    marginals (p, p1). The target is recentered to barycenter zero, as in
-    ``solve_fixed_point``, so a density satisfying the stationarity
-    equation for p1 is reproduced within solver tolerance.
-    """
-    if p.support.radii().max() > r * (1 + 1e-9):
-        raise ValueError("iterate support must lie inside B_r")
-    p1, _ = recentered(p1)
-    kernel = GaussianHeatKernel(source=p.support, target=p1.support, t=1.0, eps=eps)
-    out, _ = _step(p, p1, kernel)
-    return out
-
-
 def solve_fixed_point(p1: Density, eps, r, tol=1e-9, max_outer=200,
                       init: Density | None = None) -> FixedPointTrace:
     """Anderson-accelerated fixed-point iteration in log space at one noise level.

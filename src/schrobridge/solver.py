@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -231,18 +231,6 @@ def solve_schrodinger(q: KernelSpec, mu1: DiscreteMeasure, mu2: DiscreteMeasure,
         final_residual=float(residual), converged=residual <= tol)
 
 
-def rescaled(sol: SchroedingerSolution, c) -> SchroedingerSolution:
-    """Apply the free gauge (nu1, nu2) -> (c nu1, nu2 / c).
-
-    The plan and the sum u1(x) + u2(y) are invariant under this map.
-    """
-    if c <= 0:
-        raise ValueError("scale must be positive")
-    log_c = math.log(c)
-    return replace(sol, log_nu1=sol.log_nu1 + log_c, log_nu2=sol.log_nu2 - log_c,
-                   u1=sol.u1 - log_c, u2=sol.u2 + log_c, scale_C=sol.scale_C * c)
-
-
 def plan_matrix(sol: SchroedingerSolution):
     """The coupling nu1_i q_ij nu2_j as an (n, m) array over the pairs (x_i, y_j).
 
@@ -278,120 +266,3 @@ def _bandwidth(sol: SchroedingerSolution):
     if not isinstance(sol.kernel, GaussianHeatKernel):
         raise TypeError("eps * t needs a heat kernel")
     return sol.kernel.eps * sol.kernel.t
-
-
-# ---------------------------------------------------------------------------
-# Certified bound checks
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class BoundReport:
-    lower: float
-    upper: float
-    worst_slack: float
-    detail: dict
-
-
-def check_beurling_bounds(sol: SchroedingerSolution, r) -> BoundReport:
-    """Two-sided kernel bounds on the potentials of probability marginals.
-
-    With m = min q and M = max q over the supports (both inside B_r),
-    every point must satisfy m/sqrt(M) <= exp(u_i) <= M/sqrt(m). A
-    violation beyond a relative log-slack of 1e-9 indicates a solver or
-    normalization bug and raises.
-    """
-    for sup in (sol.mu1.support, sol.mu2.support):
-        if sup.radii().max() > r * (1 + 1e-9):
-            raise ValueError("supports must lie inside B_r")
-    logk = log_eval_kernel(sol.kernel)
-    log_m, log_big_m = float(logk.min()), float(logk.max())
-    log_lower = log_m - 0.5 * log_big_m
-    log_upper = log_big_m - 0.5 * log_m
-    slack = 1e-9 * max(1.0, abs(log_lower), abs(log_upper))
-    worst = math.inf
-    offender = None
-    for name, u in (("u1", sol.u1), ("u2", sol.u2)):
-        lo = float((u - log_lower).min())
-        hi = float((log_upper - u).min())
-        worst = min(worst, lo, hi)
-        if lo < -slack or hi < -slack:
-            idx = int(np.argmin(np.minimum(u - log_lower, log_upper - u)))
-            offender = (name, idx)
-    if offender is not None:
-        raise RuntimeError(
-            f"kernel bound violated at {offender[0]}[{offender[1]}] "
-            f"(worst log-slack {worst:.3e})")
-    return BoundReport(
-        lower=math.exp(log_lower), upper=math.exp(log_upper),
-        worst_slack=worst,
-        detail={"m_qr": math.exp(log_m), "M_qr": math.exp(log_big_m)})
-
-
-def check_product_identity(sol: SchroedingerSolution, m, sample_pairs) -> BoundReport:
-    """Product identity and two-sided bound for truncated potential sums.
-
-    For sampled index pairs (i1, i2), exp(u_{1|m}(x_{i1}) + u_{2|m}(y_{i2}))
-    must equal the plan integral of q(x_{i1}, y) q(x, y_{i2}) / q(x, y)
-    over the truncated region (to 1e-8 relative, in logs), and must lie
-    between the min / max of that ratio times the truncated plan mass
-    (lower) and the max alone (upper).
-    """
-    u1m, u2m = truncated_potentials(sol, m)
-    logk = log_eval_kernel(sol.kernel)
-    log_plan = sol.log_plan()
-    with np.errstate(divide="ignore"):
-        logphi_s = np.log(_hat(sol.mu1.support.radii(), m))
-        logphi_t = np.log(_hat(sol.mu2.support.radii(), m))
-    log_phi2 = logphi_s[:, None] + logphi_t[None, :]
-    log_mass = logsumexp(log_plan + log_phi2)
-    supp_s = ~np.isinf(logphi_s)
-    supp_t = ~np.isinf(logphi_t)
-    worst_rel = 0.0
-    details = []
-    for i1, i2 in sample_pairs:
-        log_ratio = logk[i1, :][None, :] + logk[:, i2][:, None] - logk
-        lhs = u1m[i1] + u2m[i2]
-        rhs = logsumexp(log_ratio + log_phi2 + log_plan)
-        rel = abs(lhs - rhs) / max(1.0, abs(lhs))
-        worst_rel = max(worst_rel, rel)
-        if rel > 1e-8:
-            raise RuntimeError(
-                f"product identity mismatch at pair ({i1}, {i2}): "
-                f"log lhs {lhs:.12g} vs log rhs {rhs:.12g}")
-        ratio_sub = log_ratio[np.ix_(supp_s, supp_t)]
-        log_lo = float(ratio_sub.min()) + log_mass
-        log_hi = float(ratio_sub.max())
-        if lhs < log_lo - 1e-9 or lhs > log_hi + 1e-9:
-            raise RuntimeError(
-                f"truncated potential bound violated at pair ({i1}, {i2})")
-        details.append((i1, i2, rel))
-    return BoundReport(lower=math.nan, upper=math.nan, worst_slack=worst_rel,
-                       detail={"pairs": details, "m": m})
-
-
-def check_level_bounds(sol: SchroedingerSolution, m) -> BoundReport:
-    """Sandwich bound on the product of truncated factor masses.
-
-    mu(K_m x K_m) / max_{K_m} q  <=  (integral phi_m dnu1)(integral phi_m dnu2)
-    <=  1 / min_{supp phi_m} q.
-    """
-    logk = log_eval_kernel(sol.kernel)
-    log_plan = sol.log_plan()
-    rad_s = sol.mu1.support.radii()
-    rad_t = sol.mu2.support.radii()
-    in_s = rad_s <= m + 1e-12
-    in_t = rad_t <= m + 1e-12
-    if not (in_s.any() and in_t.any()):
-        raise ValueError("truncation below m_index: K_m misses the supports")
-    phi_s = _hat(rad_s, m)
-    phi_t = _hat(rad_t, m)
-    mass_km = float(np.exp(logsumexp(log_plan[np.ix_(in_s, in_t)])))
-    lower = mass_km / float(np.exp(logk[np.ix_(in_s, in_t)].max()))
-    upper = 1.0 / float(np.exp(logk[np.ix_(phi_s > 0, phi_t > 0)].min()))
-    mid = float(phi_s @ sol.nu1.weights) * float(phi_t @ sol.nu2.weights)
-    slack = min(mid - lower, upper - mid)
-    if slack < -1e-9 * max(1.0, upper):
-        raise RuntimeError(
-            f"level bound violated: {lower:.12g} <= {mid:.12g} <= {upper:.12g} fails")
-    return BoundReport(lower=lower, upper=upper, worst_slack=slack,
-                       detail={"product_of_masses": mid, "m": m})

@@ -135,16 +135,18 @@ def _snap(support, point):
     return int(np.argmin(np.sum((support.points - point[None, :]) ** 2, axis=1)))
 
 
-def potential_sum_gap(sol_a: SchroedingerSolution, sol_b: SchroedingerSolution,
+def potential_sum_gap(sol_a: SchroedingerSolution, u_a, sol_b: SchroedingerSolution,
                       m, probe_pairs, moving_shift=None):
     """Max probe gap of u_{1|m} + u_{2|m} between two solutions.
 
-    ``probe_pairs`` are (source index, target index) pairs into the base
-    supports; for the perturbed solution the probe may move by
-    ``moving_shift`` (a vector) and is snapped to the nearest grid point.
-    The sum is invariant under the factor-scaling gauge.
+    ``u_a`` is ``truncated_potentials(sol_a, m)``, computed once by the
+    caller for every solution it compares with ``sol_a``. ``probe_pairs``
+    are (source index, target index) pairs into the base supports; for the
+    perturbed solution the probe may move by ``moving_shift`` (a vector)
+    and is snapped to the nearest grid point. The sum is invariant under
+    the factor-scaling gauge.
     """
-    u1a, u2a = truncated_potentials(sol_a, m)
+    u1a, u2a = u_a
     u1b, u2b = truncated_potentials(sol_b, m)
     sum_gap = 0.0
     for i1, i2 in probe_pairs:
@@ -194,6 +196,7 @@ def run_convergence(base, family, probes, m,
     base_sol = solve_schrodinger(q, mu1, mu2, tol=tol, max_iters=max_iters)
     base_plan = plan_matrix(base_sol)
     base_product = np.outer(base_sol.nu1.weights, base_sol.nu2.weights)
+    base_potentials = truncated_potentials(base_sol, m)
     source, target = mu1.support, mu2.support
     shift_dir = np.zeros(source.dim)
     shift_dir[0] = 1.0
@@ -210,8 +213,8 @@ def run_convergence(base, family, probes, m,
         plan_gap = product_bl_distance(source, target, plan_matrix(sol), base_plan)
         product_gap = product_bl_distance(
             source, target, np.outer(sol.nu1.weights, sol.nu2.weights), base_product)
-        sum_gap = potential_sum_gap(
-            base_sol, sol, m, probes, moving_shift=(probe_shift / n) * shift_dir)
+        sum_gap = potential_sum_gap(base_sol, base_potentials, sol, m, probes,
+                                    moving_shift=(probe_shift / n) * shift_dir)
         sup_gap = math.nan if r_prime is None else _supnorm_gap(base_sol, sol, in_s, in_t)
         rows.append(ConvergenceRow(n, plan_gap, product_gap, sum_gap, sup_gap, True))
     return ConvergenceReport(rows=tuple(rows))

@@ -1,3 +1,6 @@
+import math
+from dataclasses import dataclass, replace
+
 import numpy as np
 import pytest
 
@@ -7,9 +10,14 @@ from schrobridge import (
     DiscreteMeasure,
     GaussianHeatKernel,
     Support,
+    log_eval_kernel,
     make_grid,
+    truncated_potentials,
 )
+from schrobridge.core import logsumexp
 from schrobridge.io import write_csv
+from schrobridge.moment import _step, recentered
+from schrobridge.solver import SchroedingerSolution, _hat
 
 
 def gaussian_density(grid, var, mean=0.0):
@@ -22,7 +30,7 @@ def gaussian_density(grid, var, mean=0.0):
 
 def _save_table(path, support: Support, value_name, values):
     header = [f"x_{k + 1}" for k in range(support.dim)] + [value_name, "cell_volume"]
-    write_csv(path, header, np.column_stack([support.points, values, support.cell_volumes]))
+    write_csv(path, header, [*support.points.T, values, support.cell_volumes])
 
 
 def save_measure_csv(path, mu: DiscreteMeasure):
@@ -81,3 +89,168 @@ def random_instance(rng, n_min=5, n_max=40, radius=None):
     mu1 = DiscreteMeasure(grid, w1 / w1.sum(), is_probability=True)
     mu2 = DiscreteMeasure(grid, w2 / w2.sum(), is_probability=True)
     return q, mu1, mu2
+
+
+# ---------------------------------------------------------------------------
+# Oracles: the paper's certified bounds, the free gauge, the uniform-candidate
+# free-energy bound and one fixed-point map application; no run calls them
+# ---------------------------------------------------------------------------
+
+def rescaled(sol: SchroedingerSolution, c) -> SchroedingerSolution:
+    """Apply the free gauge (nu1, nu2) -> (c nu1, nu2 / c).
+
+    The plan and the sum u1(x) + u2(y) are invariant under this map.
+    """
+    if c <= 0:
+        raise ValueError("scale must be positive")
+    log_c = math.log(c)
+    return replace(sol, log_nu1=sol.log_nu1 + log_c, log_nu2=sol.log_nu2 - log_c,
+                   u1=sol.u1 - log_c, u2=sol.u2 + log_c, scale_C=sol.scale_C * c)
+
+
+@dataclass(frozen=True)
+class BoundReport:
+    lower: float
+    upper: float
+    worst_slack: float
+    detail: dict
+
+
+def check_beurling_bounds(sol: SchroedingerSolution, r) -> BoundReport:
+    """Two-sided kernel bounds on the potentials of probability marginals.
+
+    With m = min q and M = max q over the supports (both inside B_r),
+    every point must satisfy m/sqrt(M) <= exp(u_i) <= M/sqrt(m). A
+    violation beyond a relative log-slack of 1e-9 indicates a solver or
+    normalization bug and raises.
+    """
+    for sup in (sol.mu1.support, sol.mu2.support):
+        if sup.radii().max() > r * (1 + 1e-9):
+            raise ValueError("supports must lie inside B_r")
+    logk = log_eval_kernel(sol.kernel)
+    log_m, log_big_m = float(logk.min()), float(logk.max())
+    log_lower = log_m - 0.5 * log_big_m
+    log_upper = log_big_m - 0.5 * log_m
+    slack = 1e-9 * max(1.0, abs(log_lower), abs(log_upper))
+    worst = math.inf
+    offender = None
+    for name, u in (("u1", sol.u1), ("u2", sol.u2)):
+        lo = float((u - log_lower).min())
+        hi = float((log_upper - u).min())
+        worst = min(worst, lo, hi)
+        if lo < -slack or hi < -slack:
+            idx = int(np.argmin(np.minimum(u - log_lower, log_upper - u)))
+            offender = (name, idx)
+    if offender is not None:
+        raise RuntimeError(
+            f"kernel bound violated at {offender[0]}[{offender[1]}] "
+            f"(worst log-slack {worst:.3e})")
+    return BoundReport(
+        lower=math.exp(log_lower), upper=math.exp(log_upper),
+        worst_slack=worst,
+        detail={"m_qr": math.exp(log_m), "M_qr": math.exp(log_big_m)})
+
+
+def check_product_identity(sol: SchroedingerSolution, m, sample_pairs) -> BoundReport:
+    """Product identity and two-sided bound for truncated potential sums.
+
+    For sampled index pairs (i1, i2), exp(u_{1|m}(x_{i1}) + u_{2|m}(y_{i2}))
+    must equal the plan integral of q(x_{i1}, y) q(x, y_{i2}) / q(x, y)
+    over the truncated region (to 1e-8 relative, in logs), and must lie
+    between the min / max of that ratio times the truncated plan mass
+    (lower) and the max alone (upper).
+    """
+    u1m, u2m = truncated_potentials(sol, m)
+    logk = log_eval_kernel(sol.kernel)
+    log_plan = sol.log_plan()
+    with np.errstate(divide="ignore"):
+        logphi_s = np.log(_hat(sol.mu1.support.radii(), m))
+        logphi_t = np.log(_hat(sol.mu2.support.radii(), m))
+    log_phi2 = logphi_s[:, None] + logphi_t[None, :]
+    log_mass = logsumexp(log_plan + log_phi2)
+    supp_s = ~np.isinf(logphi_s)
+    supp_t = ~np.isinf(logphi_t)
+    worst_rel = 0.0
+    details = []
+    for i1, i2 in sample_pairs:
+        log_ratio = logk[i1, :][None, :] + logk[:, i2][:, None] - logk
+        lhs = u1m[i1] + u2m[i2]
+        rhs = logsumexp(log_ratio + log_phi2 + log_plan)
+        rel = abs(lhs - rhs) / max(1.0, abs(lhs))
+        worst_rel = max(worst_rel, rel)
+        if rel > 1e-8:
+            raise RuntimeError(
+                f"product identity mismatch at pair ({i1}, {i2}): "
+                f"log lhs {lhs:.12g} vs log rhs {rhs:.12g}")
+        ratio_sub = log_ratio[np.ix_(supp_s, supp_t)]
+        log_lo = float(ratio_sub.min()) + log_mass
+        log_hi = float(ratio_sub.max())
+        if lhs < log_lo - 1e-9 or lhs > log_hi + 1e-9:
+            raise RuntimeError(
+                f"truncated potential bound violated at pair ({i1}, {i2})")
+        details.append((i1, i2, rel))
+    return BoundReport(lower=math.nan, upper=math.nan, worst_slack=worst_rel,
+                       detail={"pairs": details, "m": m})
+
+
+def check_level_bounds(sol: SchroedingerSolution, m) -> BoundReport:
+    """Sandwich bound on the product of truncated factor masses.
+
+    mu(K_m x K_m) / max_{K_m} q  <=  (integral phi_m dnu1)(integral phi_m dnu2)
+    <=  1 / min_{supp phi_m} q.
+    """
+    logk = log_eval_kernel(sol.kernel)
+    log_plan = sol.log_plan()
+    rad_s = sol.mu1.support.radii()
+    rad_t = sol.mu2.support.radii()
+    in_s = rad_s <= m + 1e-12
+    in_t = rad_t <= m + 1e-12
+    if not (in_s.any() and in_t.any()):
+        raise ValueError("truncation below m_index: K_m misses the supports")
+    phi_s = _hat(rad_s, m)
+    phi_t = _hat(rad_t, m)
+    mass_km = float(np.exp(logsumexp(log_plan[np.ix_(in_s, in_t)])))
+    lower = mass_km / float(np.exp(logk[np.ix_(in_s, in_t)].max()))
+    upper = 1.0 / float(np.exp(logk[np.ix_(phi_s > 0, phi_t > 0)].min()))
+    mid = float(phi_s @ sol.nu1.weights) * float(phi_t @ sol.nu2.weights)
+    slack = min(mid - lower, upper - mid)
+    if slack < -1e-9 * max(1.0, upper):
+        raise RuntimeError(
+            f"level bound violated: {lower:.12g} <= {mid:.12g} <= {upper:.12g} fails")
+    return BoundReport(lower=lower, upper=upper, worst_slack=slack,
+                       detail={"product_of_masses": mid, "m": m})
+
+
+def free_energy_upper_bound(p1: Density | None, r, support: Support | None = None) -> float:
+    """Uniform-candidate bound -log Vol(B_r) + 0.5 * mean of |x|^2 over B_r.
+
+    With a grid support the bound uses the grid's total cell volume and
+    midpoint quadrature, making it exactly the objective of the uniform
+    density on that grid with the control term dropped. Without a support
+    the closed-form ball volume is used. Independent of p1 and of the noise
+    level eps.
+    """
+    if support is not None:
+        vol = support.total_volume
+        mean_sq = float(
+            np.sum(support.points**2, axis=1) @ support.cell_volumes) / vol
+        return -math.log(vol) + 0.5 * mean_sq
+    d = p1.support.dim if p1 is not None else 1
+    vol = math.pi ** (d / 2) / math.gamma(d / 2 + 1) * r**d
+    return -math.log(vol) + 0.5 * d * r * r / (d + 2)
+
+
+def fixed_point_step(p: Density, p1: Density, eps, r) -> Density:
+    """Apply the map p -> normalize(exp(-eps * u1 - |x|^2 / 2)) on B_r.
+
+    u1 is the source potential of the heat-kernel Schrodinger solve with
+    marginals (p, p1). The target is recentered to barycenter zero, as in
+    ``solve_fixed_point``, so a density satisfying the stationarity
+    equation for p1 is reproduced within solver tolerance.
+    """
+    if p.support.radii().max() > r * (1 + 1e-9):
+        raise ValueError("iterate support must lie inside B_r")
+    p1, _ = recentered(p1)
+    kernel = GaussianHeatKernel(source=p.support, target=p1.support, t=1.0, eps=eps)
+    out, _ = _step(p, p1, kernel)
+    return out

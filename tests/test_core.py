@@ -163,6 +163,10 @@ class TestMeasureInvariants:
         with pytest.raises(ValueError, match="nonnegative"):
             DiscreteMeasure(sup2, np.array([-0.1, 1.1]))
 
+    def test_zero_mass_not_normalized(self, sup2):
+        with pytest.raises(ValueError, match="zero total mass"):
+            DiscreteMeasure(sup2, np.zeros(2)).normalized()
+
     def test_density_measure_roundtrip(self):
         g = make_grid(1, 1.0, 8)
         p = gaussian_density(g, 0.3)

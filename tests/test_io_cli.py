@@ -26,6 +26,7 @@ from schrobridge.io import (
     fmt,
     load_density_csv,
     load_measure_csv,
+    write_csv,
     write_plan_csv,
     write_terminal_csv,
 )
@@ -137,7 +138,7 @@ class TestJsonFormatting:
 
 
 def _rendered_lines(values):
-    return b"".join(_csv_rows([], [np.asarray(values, dtype=float)])).decode().splitlines()
+    return b"".join(_csv_rows([np.asarray(values, dtype=float)])).decode().splitlines()
 
 
 _SWITCHES = [1e16, 1e17, 9.9999999999999995e-5, 1e-4, 1e-5, 99999999999999999.0,
@@ -173,8 +174,22 @@ class TestCsvRenderer:
     def test_integer_columns_of_any_width(self):
         ints = np.array([0, 7, 10, 9999, 10000, 12345678, 100000000, 10 ** 18 + 3])
         masses = np.linspace(-1.0, 1.0, len(ints)) ** 3
-        rows = b"".join(_csv_rows([ints, ints[::-1]], [masses])).decode().splitlines()
+        rows = b"".join(_csv_rows([ints, ints[::-1], masses])).decode().splitlines()
         assert rows == ["%d,%d,%.17g" % r for r in zip(ints, ints[::-1], masses)]
+
+    @pytest.mark.parametrize("n_rows", [0, 3], ids=["header_only", "rows"])
+    def test_write_csv_matches_per_value_output(self, tmp_path, n_rows):
+        # the small artifacts' columns: floats with nan, then counts
+        floats = np.array([0.125, math.nan, -1e-300, 1.0 / 3.0, math.inf])[:n_rows]
+        counts = [12, 0, 10 ** 5, 3, 7][:n_rows]
+        write_csv(tmp_path / "t.csv", ["a", "b", "n"], [floats, floats[::-1], counts])
+        rows = zip(floats.tolist(), floats[::-1].tolist(), counts)
+        assert (tmp_path / "t.csv").read_text() == "a,b,n\n" + "".join(
+            f"{fmt(a)},{fmt(b)},{n}\n" for a, b, n in rows)
+
+    def test_negative_integer_column_rejected(self, tmp_path):
+        with pytest.raises(ValueError, match="nonnegative"):
+            write_csv(tmp_path / "t.csv", ["n"], [np.array([3, -5])])
 
     def test_plan_csv_lines(self, tmp_path):
         g = make_grid(1, 4.0, 60)
@@ -521,3 +536,20 @@ def test_bad_scalar_parameter_exits_1(tmp_path, capsys, monkeypatch, command, co
                  *flags]) == 1
     assert message in capsys.readouterr().err
     assert not simulated
+
+
+@pytest.mark.parametrize("command, key, text, message", [
+    ("solve", "mu1", "x_1,weight\n0,0\n1,0\n", "weights have zero total mass"),
+    ("solve", "mu1", "x_1,weight\n0,1.5\n1,-0.5\n", "weights must be finite and nonnegative"),
+    ("solve", "mu1", "x_1,weight\n0,0.5\n0,0.5\n", "support points must be pairwise distinct"),
+    ("moment", "p1", "x_1,density\n0,0\n1,0\n", "density has zero total mass"),
+], ids=["zero_mass", "negative_weight", "duplicate_points", "zero_mass_density"])
+def test_bad_input_file_exits_1_naming_it(tmp_path, capsys, command, key, text, message):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text)
+    rest = {"solve": f"mu2 = {INSTANCES}/two_point_uniform.csv\nkernel = gaussian:1\n",
+            "moment": "r = 2.0\n"}[command]
+    cfg = tmp_path / "c.cfg"
+    cfg.write_text(f"{key} = {bad}\n{rest}")
+    assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
+    assert capsys.readouterr().err == f"error: {bad}: {message}\n"

@@ -12,8 +12,6 @@ from schrobridge import (
     GaussianHeatKernel,
     NonConvergenceError,
     check_convexity,
-    fixed_point_step,
-    free_energy_upper_bound,
     make_grid,
     solve_fixed_point,
     verify_moment_measure,
@@ -31,7 +29,7 @@ from schrobridge.moment import (
     recentered,
     uniform_density,
 )
-from conftest import gaussian_density
+from conftest import fixed_point_step, free_energy_upper_bound, gaussian_density
 
 
 def potential_profile(trace: FixedPointTrace):

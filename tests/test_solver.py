@@ -11,19 +11,21 @@ from schrobridge import (
     DiscreteMeasure,
     GaussianHeatKernel,
     Support,
-    check_beurling_bounds,
-    check_level_bounds,
-    check_product_identity,
     log_eval_kernel,
     make_grid,
-    rescaled,
     solve_schrodinger,
     truncated_potentials,
 )
 from schrobridge.core import logsumexp, tv_distance
 from schrobridge.solver import (DEFAULT_TOL, SCALING_BOUNDS, WINDOW, SchroedingerSolution,
                                 _refit, plan_matrix)
-from conftest import random_instance
+from conftest import (
+    check_beurling_bounds,
+    check_level_bounds,
+    check_product_identity,
+    random_instance,
+    rescaled,
+)
 
 
 def plain_fixed_point_oracle(k_matrix, w1, w2, iters=10**4):

@@ -10,13 +10,14 @@ from schrobridge import (
     bl_distance,
     make_family,
     make_grid,
-    rescaled,
     run_convergence,
     semiconvexity_constant,
     solve_schrodinger,
+    truncated_potentials,
 )
 from schrobridge import stability
 from schrobridge.stability import potential_sum_gap
+from conftest import rescaled
 
 
 @pytest.fixture
@@ -189,10 +190,27 @@ class TestPotentialSumGauge:
         fam = make_family(q, mu1, mu2, "kernel_perturbation",
                           index_set=[8], amplitude=1.0)
         other = solve_schrodinger(*fam[0][1:], tol=1e-13)
-        base_gap = potential_sum_gap(sol, other, 2, PROBES)
+        base_potentials = truncated_potentials(sol, 2)
+        base_gap = potential_sum_gap(sol, base_potentials, other, 2, PROBES)
         jittered = rescaled(other, 3.7)
-        new_gap = potential_sum_gap(sol, jittered, 2, PROBES)
+        new_gap = potential_sum_gap(sol, base_potentials, jittered, 2, PROBES)
         assert new_gap == pytest.approx(base_gap, abs=1e-12)
+
+
+    def test_base_potentials_computed_once_per_ladder(self, base_instance, monkeypatch):
+        q, mu1, mu2 = base_instance
+        fam = make_family(q, mu1, mu2, "kernel_perturbation", index_set=[2, 4, 8])
+        calls = []
+
+        def counting(sol, m):
+            calls.append(sol)
+            return truncated_potentials(sol, m)
+
+        monkeypatch.setattr(stability, "truncated_potentials", counting)
+        rep = run_convergence(base_instance, fam, PROBES, m=2)
+        assert all(row.solved for row in rep.rows)
+        assert len(calls) == 1 + len(fam)
+        assert len({id(sol) for sol in calls}) == len(calls)
 
 
 class TestSemiconvexity:
