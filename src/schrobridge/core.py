@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 DEFAULT_POINT_BUDGET = 10**6
-W2_ORACLE_CAP = 400
+W2_CLOUD_CAP = 200
 
 #: Version tag of the fixed bounded-Lipschitz test-function dictionary.
 #: Golden values recorded in tests are only valid for this version.
@@ -33,7 +33,7 @@ _BL_AFFINE_STEPS = 16     # offsets -R .. R in steps of R/8
 
 
 class OracleTooLargeError(ValueError):
-    """Exact transport oracle refused: combined support exceeds the cap."""
+    """Exact assignment refused: a cloud holds more than ``W2_CLOUD_CAP`` points."""
 
 
 class NonConvergenceError(RuntimeError):
@@ -145,6 +145,8 @@ class DiscreteMeasure:
         return float(self.weights.sum())
 
     def barycenter(self):
+        if not self.total_mass > 0:
+            raise ValueError("cannot take the barycenter of a measure of zero total mass")
         return self.support.points.T @ self.weights / self.total_mass
 
     def normalized(self) -> "DiscreteMeasure":
@@ -317,20 +319,6 @@ def empirical_measure(points, weights=None) -> DiscreteMeasure:
     return DiscreteMeasure(sup, mass, is_probability=True)
 
 
-def subsample_to_cap(points, rng, weights=None) -> DiscreteMeasure:
-    """``empirical_measure(points, weights)`` with at most half the W2 oracle cap of atoms.
-
-    Beyond k = ``W2_ORACLE_CAP // 2`` points, ``rng`` draws k: uniformly
-    without replacement, or with replacement in proportion to ``weights``
-    when given. Two such measures always fit the oracle together.
-    """
-    n, k = len(points), W2_ORACLE_CAP // 2
-    if n <= k:
-        return empirical_measure(points, weights)
-    p = None if weights is None else weights / weights.sum()
-    return empirical_measure(points[rng.choice(n, size=k, replace=p is not None, p=p)])
-
-
 def lattice_neighbors(support: Support):
     """Neighbor table of a regular, possibly ball-clipped, lattice.
 
@@ -415,44 +403,65 @@ def tv_distance(a, b) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Quadratic Wasserstein oracles
+# Quadratic Wasserstein distances
 # ---------------------------------------------------------------------------
 
-def w2_distance(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:
-    """Exact 2-Wasserstein distance via the transport LP (the one use of scipy, imported here).
+def _assignment(c):
+    """Row matched to each column of the square cost matrix ``c`` at least total cost.
 
-    Verification oracle only: refuses combined supports above
-    ``W2_ORACLE_CAP`` points (callers must subsample).
+    Shortest augmenting paths (Jonker & Volgenant, Computing 38, 1987): each
+    row enters by a Dijkstra search over the reduced costs c - u - v, whose
+    dual potentials u, v certify that the matching is optimal.
     """
-    from scipy import sparse
-    from scipy.optimize import linprog
+    n = len(c)
+    u, v = np.zeros(n), np.zeros(n + 1)
+    row_of = np.full(n + 1, -1)
+    for i in range(n):
+        row_of[n], j0 = i, n
+        dist, via = np.full(n, np.inf), np.full(n, n)
+        done = np.zeros(n + 1, dtype=bool)
+        while row_of[j0] >= 0:
+            done[j0] = True
+            i0, free = row_of[j0], ~done[:n]
+            reduced = c[i0] - u[i0] - v[:n]
+            better = free & (reduced < dist)
+            dist[better], via[better] = reduced[better], j0
+            j1 = int(np.argmin(np.where(free, dist, np.inf)))
+            delta = dist[j1]
+            u[row_of[done]] += delta
+            v[done] -= delta
+            dist[free] -= delta
+            j0 = j1
+        while j0 != n:  # flip the matches along the augmenting path
+            row_of[j0], j0 = row_of[via[j0]], via[j0]
+    return row_of[:n]
 
-    n, m = mu1.support.n_points, mu2.support.n_points
-    if n + m > W2_ORACLE_CAP:
-        raise OracleTooLargeError(
-            f"oracle too large: {n}+{m} support points exceed cap {W2_ORACLE_CAP}")
-    if mu1.support.dim != mu2.support.dim:
-        raise ValueError("dimension mismatch")
-    a = mu1.weights / mu1.weights.sum()
-    b = mu2.weights / mu2.weights.sum()
-    cost = pairwise_sq_dists(mu1.support.points, mu2.support.points).ravel()
-    a_eq = sparse.vstack([sparse.kron(sparse.eye(n), np.ones((1, m))),
-                          sparse.kron(np.ones((1, n)), sparse.eye(m))], format="csr")
-    res = linprog(
-        cost, A_eq=a_eq, b_eq=np.concatenate([a, b]), bounds=(0, None),
-        method="highs",
-        options={"primal_feasibility_tolerance": 1e-10,
-                 "dual_feasibility_tolerance": 1e-10})
-    if res.status != 0:
-        raise RuntimeError(f"transport LP failed: {res.message}")
-    return math.sqrt(max(res.fun, 0.0))
+
+def w2_distance(x, y) -> float:
+    """Exact 2-Wasserstein distance between the uniform laws on two equal-size point clouds.
+
+    ``x`` and ``y`` are (k, d) arrays whose rows are atoms of mass 1/k. In
+    1-D the sorted clouds are matched; in d >= 2 an exact assignment, which
+    refuses more than ``W2_CLOUD_CAP`` points per cloud, matches them.
+    """
+    x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
+    if x.ndim != 2 or x.shape != y.shape or len(x) == 0:
+        raise ValueError("need two nonempty (k, d) point clouds of the same shape")
+    if x.shape[1] == 1:
+        cost = (np.sort(x[:, 0]) - np.sort(y[:, 0])) ** 2
+    elif len(x) > W2_CLOUD_CAP:
+        raise OracleTooLargeError(f"assignment too large: {len(x)} points > {W2_CLOUD_CAP}")
+    else:
+        c = np.sum((x[:, None, :] - y[None, :, :]) ** 2, axis=2)
+        cost = c[_assignment(c), np.arange(len(x))]
+    return math.sqrt(max(float(cost.mean()), 0.0))
 
 
 def w2_distance_1d(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:
     """Exact 1-D quadratic Wasserstein distance via quantile functions.
 
-    Independent of the linear-program oracle and with no size cap; used to
-    cross-check it and to compare large empirical ensembles.
+    Weighted and with no size cap; used to compare large empirical
+    ensembles with a target law.
     """
     if mu1.support.dim != 1 or mu2.support.dim != 1:
         raise ValueError("quantile formula is one-dimensional only")

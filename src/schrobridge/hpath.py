@@ -17,14 +17,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (
-    W2_ORACLE_CAP,
+    W2_CLOUD_CAP,
     Density,
     DiscreteMeasure,
     Support,
     bl_distance,
     empirical_measure,
     relative_entropy,
-    subsample_to_cap,
     tv_distance,
     w2_distance,
     w2_distance_1d,
@@ -217,11 +216,12 @@ def endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution,
     """Compare simulated endpoints with the target law sol.mu2 and the plan.
 
     Terminal law: bounded-Lipschitz distance on the full empirical measure,
-    exact transport distance on seeded subsamples (and the full quantile
-    distance in one dimension). Joint law: endpoints binned to a
-    ``bins``-per-axis lattice against the identically binned plan, in
-    total variation and relative entropy. Bootstrap standard errors are
-    seeded from the ensemble seed.
+    exact transport distance between k = min(n_paths, ``W2_CLOUD_CAP``)
+    seeded draws of paths (without replacement) and of target atoms (with
+    replacement, by weight), and the full quantile distance in one
+    dimension. Joint law: endpoints binned to a ``bins``-per-axis lattice
+    against the identically binned plan, in total variation and relative
+    entropy. Bootstrap standard errors are seeded from the ensemble seed.
     """
     if not bins >= 1:
         raise ValueError("need bins >= 1")
@@ -230,11 +230,10 @@ def endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution,
     emp = empirical_measure(ens.terminal)
     bl_term = bl_distance(emp, target)
 
-    sub = subsample_to_cap(ens.terminal, rng)
-    tgt_small = target
-    if target.support.n_points + sub.support.n_points > W2_ORACLE_CAP:
-        tgt_small = subsample_to_cap(target.support.points, rng, target.weights)
-    w2_sub = (w2_distance_1d if ens.dim == 1 else w2_distance)(sub, tgt_small)
+    k = min(ens.n_paths, W2_CLOUD_CAP)
+    paths = rng.choice(ens.n_paths, size=k, replace=False)
+    atoms = rng.choice(target.support.n_points, size=k, p=target.weights / target.weights.sum())
+    w2_sub = w2_distance(ens.terminal[paths], target.support.points[atoms])
 
     w2_full = None
     if ens.dim == 1:

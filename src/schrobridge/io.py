@@ -338,9 +338,10 @@ def load_density_csv(path) -> Density:
 
 def load_kernel_csv(path, source: Support, target: Support) -> DenseKernel:
     _, rows = _parse_table(path, header=False)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        logk = np.log(rows)
-    return DenseKernel(source=source, target=target, logk=logk)
+    with _errors_name(path):
+        with np.errstate(divide="ignore", invalid="ignore"):
+            logk = np.log(rows)
+        return DenseKernel(source=source, target=target, logk=logk)
 
 
 # ---------------------------------------------------------------------------

@@ -9,12 +9,13 @@ from schrobridge import (
     Density,
     DiscreteMeasure,
     GaussianHeatKernel,
+    OracleTooLargeError,
     Support,
     log_eval_kernel,
     make_grid,
     truncated_potentials,
 )
-from schrobridge.core import logsumexp
+from schrobridge.core import logsumexp, pairwise_sq_dists
 from schrobridge.io import write_csv
 from schrobridge.moment import _step, recentered
 from schrobridge.solver import SchroedingerSolution, _hat
@@ -93,8 +94,42 @@ def random_instance(rng, n_min=5, n_max=40, radius=None):
 
 # ---------------------------------------------------------------------------
 # Oracles: the paper's certified bounds, the free gauge, the uniform-candidate
-# free-energy bound and one fixed-point map application; no run calls them
+# free-energy bound, one fixed-point map application and the weighted
+# transport LP; no run calls them
 # ---------------------------------------------------------------------------
+
+W2_ORACLE_CAP = 400
+
+
+def w2_distance_lp(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:
+    """Exact 2-Wasserstein distance via the transport LP (scipy, imported here).
+
+    Verification oracle only: refuses combined supports above
+    ``W2_ORACLE_CAP`` points (callers must subsample).
+    """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
+    n, m = mu1.support.n_points, mu2.support.n_points
+    if n + m > W2_ORACLE_CAP:
+        raise OracleTooLargeError(
+            f"oracle too large: {n}+{m} support points exceed cap {W2_ORACLE_CAP}")
+    if mu1.support.dim != mu2.support.dim:
+        raise ValueError("dimension mismatch")
+    a = mu1.weights / mu1.weights.sum()
+    b = mu2.weights / mu2.weights.sum()
+    cost = pairwise_sq_dists(mu1.support.points, mu2.support.points).ravel()
+    a_eq = sparse.vstack([sparse.kron(sparse.eye(n), np.ones((1, m))),
+                          sparse.kron(np.ones((1, n)), sparse.eye(m))], format="csr")
+    res = linprog(
+        cost, A_eq=a_eq, b_eq=np.concatenate([a, b]), bounds=(0, None),
+        method="highs",
+        options={"primal_feasibility_tolerance": 1e-10,
+                 "dual_feasibility_tolerance": 1e-10})
+    if res.status != 0:
+        raise RuntimeError(f"transport LP failed: {res.message}")
+    return math.sqrt(max(res.fun, 0.0))
+
 
 def rescaled(sol: SchroedingerSolution, c) -> SchroedingerSolution:
     """Apply the free gauge (nu1, nu2) -> (c nu1, nu2 / c).

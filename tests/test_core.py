@@ -31,7 +31,7 @@ from schrobridge.core import (
     logsumexp,
     same_support,
 )
-from conftest import gaussian_density
+from conftest import gaussian_density, w2_distance_lp
 
 
 class TestMakeGrid:
@@ -279,21 +279,21 @@ class TestW2:
                          bounding_radius=abs(b))
             m1 = DiscreteMeasure(s1, np.array([1.0]), is_probability=True)
             m2 = DiscreteMeasure(s2, np.array([1.0]), is_probability=True)
-            assert w2_distance(m1, m2) == pytest.approx(abs(a - b), abs=1e-9)
+            assert w2_distance_lp(m1, m2) == pytest.approx(abs(a - b), abs=1e-9)
 
     def test_identity(self, sup2, mu_skew):
-        assert w2_distance(mu_skew, mu_skew) == pytest.approx(0.0, abs=1e-9)
+        assert w2_distance_lp(mu_skew, mu_skew) == pytest.approx(0.0, abs=1e-9)
 
     def test_two_point_derived_value(self, sup2, mu_half):
         # enumerating couplings of ((1/2,1/2),(1,0)): optimal moves 1/2 across
         m2 = DiscreteMeasure(sup2, np.array([1.0, 0.0]), is_probability=True)
-        assert w2_distance(mu_half, m2) == pytest.approx(math.sqrt(0.5), abs=1e-9)
+        assert w2_distance_lp(mu_half, m2) == pytest.approx(math.sqrt(0.5), abs=1e-9)
 
     def test_cap_enforced(self):
         g = make_grid(1, 1.0, 300)
         m = DiscreteMeasure(g, np.full(300, 1 / 300), is_probability=True)
         with pytest.raises(OracleTooLargeError, match="oracle too large"):
-            w2_distance(m, m)
+            w2_distance_lp(m, m)
 
     def test_triangle_inequality_random(self):
         rng = np.random.default_rng(9)
@@ -307,9 +307,9 @@ class TestW2:
             for _ in range(3):
                 w = rng.dirichlet(np.ones(n))
                 ms.append(DiscreteMeasure(s, w / w.sum(), is_probability=True))
-            d01 = w2_distance(ms[0], ms[1])
-            d12 = w2_distance(ms[1], ms[2])
-            d02 = w2_distance(ms[0], ms[2])
+            d01 = w2_distance_lp(ms[0], ms[1])
+            d12 = w2_distance_lp(ms[1], ms[2])
+            d02 = w2_distance_lp(ms[0], ms[2])
             assert d02 <= d01 + d12 + 1e-9
 
     def test_quantile_formula_matches_lp(self):
@@ -324,7 +324,7 @@ class TestW2:
                                  is_probability=True)
             m2 = DiscreteMeasure(s2, (lambda w: w / w.sum())(rng.dirichlet(np.ones(m))),
                                  is_probability=True)
-            assert w2_distance_1d(m1, m2) == pytest.approx(w2_distance(m1, m2), abs=1e-7)
+            assert w2_distance_1d(m1, m2) == pytest.approx(w2_distance_lp(m1, m2), abs=1e-7)
 
     @settings(max_examples=6, deadline=None, derandomize=True)
     @given(n=st.integers(2, 200), seed=st.integers(0, 2**32 - 1))
@@ -334,7 +334,38 @@ class TestW2:
         exact = math.sqrt(np.mean((np.sort(a) - np.sort(b)) ** 2))
         m1, m2 = empirical_measure(a[:, None]), empirical_measure(b[:, None])
         assert w2_distance_1d(m1, m2) == pytest.approx(exact, rel=1e-9)
-        assert w2_distance(m1, m2) == pytest.approx(exact, rel=1e-9)
+        assert w2_distance(a[:, None], b[:, None]) == pytest.approx(exact, rel=1e-9)
+
+    def test_assignment_cap_enforced(self):
+        x = np.zeros((201, 2))
+        with pytest.raises(OracleTooLargeError, match="assignment too large: 201 points > 200"):
+            w2_distance(x, x)
+        assert w2_distance(np.zeros((201, 1)), np.ones((201, 1))) == 1.0  # 1-D sorts, uncapped
+
+    @pytest.mark.parametrize("x, y", [(np.zeros((0, 2)), np.zeros((0, 2))),
+                                      (np.zeros((3, 2)), np.zeros((4, 2))),
+                                      (np.zeros((3, 2)), np.zeros((3, 1))),
+                                      (np.zeros(3), np.zeros(3))],
+                             ids=["empty", "sizes_differ", "dims_differ", "flat"])
+    def test_rejects_malformed_clouds(self, x, y):
+        with pytest.raises(ValueError, match="same shape"):
+            w2_distance(x, y)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(n=st.integers(1, 60), d=st.integers(1, 3), lattice=st.booleans(),
+           seed=st.integers(0, 2**32 - 1))
+    def test_matches_the_lp_oracle(self, n, d, lattice, seed):
+        # on a coarse integer lattice points repeat and many costs tie exactly
+        rng = np.random.default_rng(seed)
+        if lattice:
+            x, y = rng.integers(-2, 3, size=(2, n, d)).astype(float)
+        else:
+            x, y = rng.normal(size=(2, n, d))
+            y[: n // 3] = x[: n // 3]
+        want = w2_distance_lp(empirical_measure(x), empirical_measure(y))
+        # squared, as the LP reports it; on coincident clouds its optimum is off 0 by up
+        # to its 1e-10 feasibility tolerance
+        assert w2_distance(x, y) ** 2 == pytest.approx(want**2, rel=1e-9, abs=1e-10)
 
 
 class TestLogsumexp:

@@ -18,11 +18,10 @@ from schrobridge import (
     simulate,
 )
 from schrobridge.core import (
-    W2_ORACLE_CAP,
+    W2_CLOUD_CAP,
     bl_distance,
     empirical_measure,
     relative_entropy,
-    subsample_to_cap,
     tv_distance,
     w2_distance,
     w2_distance_1d,
@@ -35,7 +34,7 @@ from schrobridge.hpath import (
     binned_plan,
 )
 from schrobridge.solver import SchroedingerSolution, plan_matrix
-from conftest import gaussian_density
+from conftest import gaussian_density, w2_distance_lp
 
 
 def euler_maruyama_reference(sol: SchroedingerSolution, n_paths, n_steps, seed,
@@ -169,11 +168,11 @@ def reference_endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution,
     emp = empirical_measure(ens.terminal)
     bl_term = bl_distance(emp, target)
 
-    sub = subsample_to_cap(ens.terminal, rng)
-    tgt_small = target
-    if target.support.n_points + sub.support.n_points > W2_ORACLE_CAP:
-        tgt_small = subsample_to_cap(target.support.points, rng, target.weights)
-    w2_sub = (w2_distance_1d if ens.dim == 1 else w2_distance)(sub, tgt_small)
+    k = min(ens.n_paths, W2_CLOUD_CAP)
+    paths = rng.choice(ens.n_paths, size=k, replace=False)
+    atoms = rng.choice(target.support.n_points, size=k, replace=True,
+                       p=target.weights / target.weights.sum())
+    w2_sub = w2_distance(ens.terminal[paths], target.support.points[atoms])
 
     w2_full = None
     if ens.dim == 1:
@@ -406,18 +405,20 @@ class TestEndpointDiagnostics:
         assert stat <= chi2.ppf(0.999, dof)
 
     def test_1d_subsample_quantile_matches_lp(self):
-        # the bench's shape: 200 path atoms against the 201-atom target subsampled to 200
+        # the bench's shape: 200 of 4000 paths against 200 draws from the 201-atom target
         g = make_grid(1, 5.0, 201)
         sol = control_value(gaussian_density(g, 0.36), gaussian_density(g, 1.0), eps=0.5).solution
         ens = simulate(sol, 4000, 2, seed=7)
         rng = np.random.Generator(np.random.Philox(key=ens.seed + 0x9E3779B9))
         target = sol.mu2.normalized()
-        sub = subsample_to_cap(ens.terminal, rng)
-        tgt_small = subsample_to_cap(target.support.points, rng, target.weights)
-        assert sub.support.n_points == 200 and g.n_points + 200 > W2_ORACLE_CAP
+        x = ens.terminal[rng.choice(4000, size=200, replace=False)]
+        p = target.weights / target.weights.sum()
+        y = g.points[rng.choice(201, size=200, replace=True, p=p)]
         got = endpoint_diagnostics(ens, sol, n_bootstrap=0).w2_subsample
-        assert got == w2_distance_1d(sub, tgt_small)
-        assert got == pytest.approx(w2_distance(sub, tgt_small), rel=1e-9, abs=0)
+        assert got == w2_distance(x, y)
+        sub, tgt_small = empirical_measure(x), empirical_measure(y)
+        assert got == pytest.approx(w2_distance_1d(sub, tgt_small), rel=1e-14, abs=0)
+        assert got == pytest.approx(w2_distance_lp(sub, tgt_small), rel=1e-9, abs=0)
 
     def test_binned_plan_marginals(self, bridge_setup):
         g, p0, p1, sol = bridge_setup

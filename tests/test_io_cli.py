@@ -543,12 +543,17 @@ def test_bad_scalar_parameter_exits_1(tmp_path, capsys, monkeypatch, command, co
     ("solve", "mu1", "x_1,weight\n0,1.5\n1,-0.5\n", "weights must be finite and nonnegative"),
     ("solve", "mu1", "x_1,weight\n0,0.5\n0,0.5\n", "support points must be pairwise distinct"),
     ("moment", "p1", "x_1,density\n0,0\n1,0\n", "density has zero total mass"),
-], ids=["zero_mass", "negative_weight", "duplicate_points", "zero_mass_density"])
+    ("solve", "kernel", "2,1\n1,-2\n", "kernel values must be strictly positive and finite"),
+    ("solve", "kernel", "2,1,1\n1,2,1\n", "kernel matrix shape does not match supports"),
+], ids=["zero_mass", "negative_weight", "duplicate_points", "zero_mass_density",
+        "negative_kernel_entry", "kernel_shape"])
 def test_bad_input_file_exits_1_naming_it(tmp_path, capsys, command, key, text, message):
     bad = tmp_path / "bad.csv"
     bad.write_text(text)
-    rest = {"solve": f"mu2 = {INSTANCES}/two_point_uniform.csv\nkernel = gaussian:1\n",
-            "moment": "r = 2.0\n"}[command]
+    uniform = f"{INSTANCES}/two_point_uniform.csv"
+    rest = {"mu1": f"mu2 = {uniform}\nkernel = gaussian:1\n",
+            "kernel": f"mu1 = {uniform}\nmu2 = {uniform}\n",
+            "p1": "r = 2.0\n"}[key]
     cfg = tmp_path / "c.cfg"
     cfg.write_text(f"{key} = {bad}\n{rest}")
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1

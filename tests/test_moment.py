@@ -171,6 +171,13 @@ class TestSolveFixedPoint:
         trace = solve_fixed_point(std_normal, 0.25, 4.0, tol=1e-9)
         assert trace.residual <= 1e-9
 
+    def test_zero_mass_target_rejected(self):
+        p1 = Density(make_grid(1, 2.0, 21), np.zeros(21))
+        with pytest.raises(ValueError, match="barycenter of a measure of zero total mass"):
+            solve_fixed_point(p1, 0.5, 2.0)
+        with pytest.raises(ValueError, match="barycenter of a measure of zero total mass"):
+            zero_noise_continuation(p1, 2.0)
+
     def test_non_convergence_is_flagged(self, grid_r4, std_normal):
         trace = solve_fixed_point(std_normal, 1.0, 4.0, tol=1e-12, max_outer=2)
         assert not trace.converged
@@ -340,11 +347,11 @@ class TestVerifyMomentMeasure:
         err, _ = verify_moment_measure(u, g, gaussian_density(g, 1.0))
         assert err <= 0.02
 
-    def test_two_dimensions_use_the_lp_oracle(self, monkeypatch):
+    def test_two_dimensions_call_w2_distance_once(self, monkeypatch):
         g = make_grid(2, 3.0, 21)
         u = 0.5 * np.sum(g.points**2, axis=1)
         calls = []
-        for name in ("w2_distance", "w2_distance_1d"):
+        for name in ("w2_distance",):
             def counted(*args, _name=name, _f=getattr(schrobridge.moment, name)):
                 calls.append(_name)
                 return _f(*args)
@@ -353,6 +360,28 @@ class TestVerifyMomentMeasure:
         assert calls == ["w2_distance"]
         assert math.isfinite(first[1])
         assert verify_moment_measure(u, g, gaussian_density(g, 1.0)) == first
+
+    @settings(max_examples=8, deadline=None, derandomize=True)
+    @given(dim=st.sampled_from([1, 2]), seed=st.integers(0, 2**32 - 1))
+    def test_brenier_gap_vanishes_on_exact_potentials(self, dim, seed):
+        # u = x.Ax/2 with spectrum in [2, 5]: grad u = Ax is the Brenier map, and the
+        # one-sided stencils on the rim of B_4 carry mass below exp(-16)
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.normal(size=(dim, dim)))
+        a = q @ np.diag(rng.uniform(2.0, 5.0, dim)) @ q.T
+        g = make_grid(dim, 4.0, {1: 61, 2: 17}[dim])
+        u = 0.5 * np.einsum("ij,jk,ik->i", g.points, a, g.points)
+        _, gap = verify_moment_measure(u, g, gaussian_density(g, 1.0))
+        assert -1e-12 <= gap <= 1e-12
+
+    @pytest.mark.parametrize("dim, n", [(1, 101), (2, 31)])
+    def test_brenier_gap_detects_a_concave_bump(self, dim, n):
+        # u'' = 1 - 8 < 0 at the origin: grad u is not monotone there, so the pairing is not optimal
+        g = make_grid(dim, 3.0, n)
+        r2 = np.sum(g.points**2, axis=1)
+        _, gap = verify_moment_measure(0.5 * r2 + 2.0 * np.exp(-r2 / 0.5), g,
+                                       gaussian_density(g, 1.0))
+        assert gap > 1e-2
 
     def test_nonfinite_potential_rejected(self):
         g = make_grid(1, 1.0, 8)
