@@ -86,7 +86,7 @@ def _resolve_density(run, key):
 
 def _resolve_measure(run, key):
     if run.get(key).startswith("gaussian:"):
-        return _resolve_density(run, key).to_measure()
+        return _resolve_density(run, key).to_measure().normalized()
     return load_measure_csv(_find_input(run, run.get(key)))
 
 
@@ -174,8 +174,6 @@ def _cmd_solve(run: _Run):
     mu2 = _resolve_measure(run, "mu2")
     eps = run.get("eps", float, 1.0)
     kernel = _resolve_kernel(run, "kernel", mu1.support, mu2.support, eps)
-    mu1 = mu1.normalized()
-    mu2 = mu2.normalized()
     sol = solve_schrodinger(kernel, mu1, mu2, **run.given(tol=float, max_iters=int))
     write_json(run.path("solution.json"), solution_payload(sol))
     write_plan_csv(run.path("plan.csv"), sol)
@@ -232,7 +230,7 @@ def _cmd_bridge(run: _Run):
 
 def _write_moment_diagnostics(run: _Run, rows):
     columns = ["eps", "residual", "objective", "bl_drift", "convexity_defect",
-               "pushforward_error", "outer_steps", "fallbacks"]
+               "pushforward_error", "w2_check", "outer_steps", "fallbacks"]
     write_csv(run.path("moment_diagnostics.csv"), columns,
               [[row[c] for row in rows] for c in columns])
 
@@ -265,8 +263,6 @@ def _cmd_stability(run: _Run):
     mu2 = _resolve_measure(run, "mu2")
     eps = run.get("eps", float, 1.0)
     kernel = _resolve_kernel(run, "kernel", mu1.support, mu2.support, eps, "gaussian:1")
-    mu1 = mu1.normalized()
-    mu2 = mu2.normalized()
     kind = run.get("family")
     params = run.given(amplitude=float, bandwidth=float,
                        index_set=lambda v: [int(n) for n in v.split(",")])

@@ -19,7 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import Density, GaussianHeatKernel, entropy
-from .solver import SchroedingerSolution, _bandwidth, plan_matrix, solve_schrodinger
+from .solver import (
+    INNER_MAX_ITERS,
+    INNER_TOL,
+    SchroedingerSolution,
+    _bandwidth,
+    plan_matrix,
+    solve_schrodinger,
+)
 
 @dataclass(frozen=True)
 class ControlValueReport:
@@ -80,19 +87,16 @@ def _kl_plan_vs_heat_product(sol: SchroedingerSolution) -> float:
 
 
 def control_value(p0: Density, p1: Density, eps,
-                  tol=1e-12, max_iters=20000) -> ControlValueReport:
+                  tol=INNER_TOL, max_iters=INNER_MAX_ITERS) -> ControlValueReport:
     """Control value between probability densities via the heat-kernel system.
 
     Solves the Schrodinger system with the time-1 heat kernel at
     diffusivity ``eps`` and evaluates the three equivalent forms of the
     value. A non-converged inner solve propagates as a flagged report.
     """
-    mu1 = p0.to_measure()
-    mu2 = p1.to_measure()
-    if not (mu1.is_probability and mu2.is_probability):
-        raise ValueError("inputs must be probability densities")
     kernel = GaussianHeatKernel(source=p0.support, target=p1.support, t=1.0, eps=eps)
-    sol = solve_schrodinger(kernel, mu1, mu2, tol=tol, max_iters=max_iters)
+    sol = solve_schrodinger(kernel, p0.to_measure(), p1.to_measure(),
+                            tol=tol, max_iters=max_iters)
     return report_from_solution(sol, p1)
 
 

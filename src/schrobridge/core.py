@@ -22,6 +22,9 @@ import numpy as np
 
 DEFAULT_POINT_BUDGET = 10**6
 W2_CLOUD_CAP = 200
+#: Largest |total mass - 1| of a law flagged ``is_probability``: the solver's
+#: total-variation stop test needs marginals that agree to this level.
+UNIT_MASS_TOL = 1e-12
 
 #: Version tag of the fixed bounded-Lipschitz test-function dictionary.
 #: Golden values recorded in tests are only valid for this version.
@@ -39,15 +42,16 @@ class OracleTooLargeError(ValueError):
 class NonConvergenceError(RuntimeError):
     """An iterative routine exhausted its budget before meeting tolerance."""
 
-    def __init__(self, message, partial=None):
-        super().__init__(message)
-        self.partial = partial
-
 
 def _readonly(a):
     a = np.array(a, dtype=float)
     a.setflags(write=False)
     return a
+
+
+def _check_unit_mass(weights):
+    if abs(weights.sum() - 1.0) > UNIT_MASS_TOL:
+        raise ValueError(f"probability law must have unit mass within {UNIT_MASS_TOL:g}")
 
 
 # ---------------------------------------------------------------------------
@@ -136,8 +140,8 @@ class DiscreteMeasure:
             raise ValueError("weights length does not match support")
         if not np.all(np.isfinite(w) & (w >= 0)):
             raise ValueError("weights must be finite and nonnegative")
-        if self.is_probability and abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("probability measure must have unit mass within 1e-12")
+        if self.is_probability:
+            _check_unit_mass(w)
         object.__setattr__(self, "weights", _readonly(w))
 
     @property
@@ -171,9 +175,7 @@ class Density:
         if not np.all(np.isfinite(v) & (v >= 0)):
             raise ValueError("density values must be finite and nonnegative")
         if self.is_probability:
-            mass = float(v @ self.support.cell_volumes)
-            if abs(mass - 1.0) > 1e-10:
-                raise ValueError("probability density must integrate to 1 within 1e-10")
+            _check_unit_mass(v * self.support.cell_volumes)  # the weights of to_measure()
         object.__setattr__(self, "values", _readonly(v))
 
     def to_measure(self) -> DiscreteMeasure:
@@ -491,30 +493,6 @@ def w2_distance_1d(mu1: DiscreteMeasure, mu2: DiscreteMeasure) -> float:
 # Bounded-Lipschitz distance over a fixed, versioned test dictionary
 # ---------------------------------------------------------------------------
 
-@functools.cache
-def _bl_dictionary(dim, radius):
-    """Clipped affine + dyadic Gaussian bump dictionary (version 1).
-
-    All functions lie in the unit bounded-Lipschitz ball. The dictionary
-    depends only on (dim, radius) with radius a power of two, so recorded
-    values are stable across runs. Returns read-only (directions, offsets,
-    bumps); each bump level is (axis, scale, amplitude), its centers being
-    ``_lattice(axis, dim)``.
-    """
-    directions = [np.eye(dim)[k] for k in range(dim)]
-    if dim > 1:
-        directions.append(np.ones(dim) / math.sqrt(dim))
-    offsets = np.linspace(-radius, radius, _BL_AFFINE_STEPS + 1)
-    bumps = []
-    for level in range(_BL_LEVELS):
-        s = radius / 2**level
-        axis = np.arange(-radius, radius + s / 2, s)
-        if len(axis) ** dim > _BL_MAX_CENTERS and level > 0:
-            continue
-        bumps.append((_readonly(axis), s, min(1.0, s)))
-    return _readonly(directions), _readonly(offsets), tuple(bumps)
-
-
 def _bl_radius(*points):
     r = max(1.0, *(float(np.abs(p).max()) for p in points))
     return 2.0 ** math.ceil(math.log2(r))
@@ -522,16 +500,25 @@ def _bl_radius(*points):
 
 @functools.lru_cache(maxsize=8)
 def _dictionary_tables(factors, radius):
-    """The dictionary evaluated on the product of the ``factors`` supports.
+    """Clipped affine + dyadic Gaussian bump dictionary (version 1), on a product.
 
-    Returns read-only (affine, bumps): for each direction, the factors it
-    meets and its clipped projections (one array axis per met factor,
-    offsets last); for each bump level, one bump matrix per factor
-    (amplitude on the first). Cached by the identity of the supports,
-    which are immutable, so a ladder of plans on one pair of supports
-    evaluates the dictionary once.
+    All functions lie in the unit bounded-Lipschitz ball. The dictionary
+    depends only on (dim, radius) with radius a power of two, so recorded
+    values are stable across runs.
+
+    It is evaluated on the product of the ``factors`` supports. Returns
+    read-only (affine, bumps): for each direction, the factors it meets
+    and its clipped projections (one array axis per met factor, offsets
+    last); for each bump level, one bump matrix per factor (amplitude on
+    the first). Cached by the identity of the supports, which are
+    immutable, so a ladder of plans on one pair of supports evaluates the
+    dictionary once.
     """
-    directions, offsets, bumps = _bl_dictionary(sum(f.dim for f in factors), radius)
+    dim = sum(f.dim for f in factors)
+    directions = list(np.eye(dim))
+    if dim > 1:
+        directions.append(np.ones(dim) / math.sqrt(dim))
+    offsets = np.linspace(-radius, radius, _BL_AFFINE_STEPS + 1)
     splits = np.cumsum([f.dim for f in factors])[:-1]
     affine = []
     for u in directions:
@@ -541,10 +528,14 @@ def _dictionary_tables(factors, radius):
         clipped = proj[..., None] - offsets
         affine.append((met, np.clip(clipped, -1.0, 1.0, out=clipped)))
     bump_mats = []
-    for axis, s, amp in bumps:
+    for level in range(_BL_LEVELS):
+        s = radius / 2**level
+        axis = np.arange(-radius, radius + s / 2, s)
+        if len(axis) ** dim > _BL_MAX_CENTERS and level > 0:
+            continue
         g = [np.exp(-pairwise_sq_dists(f.points, _lattice(axis, f.dim)) / (2 * s * s))
              for f in factors]
-        bump_mats.append((amp * g[0], *g[1:]))
+        bump_mats.append((min(1.0, s) * g[0], *g[1:]))
     for table in [t for _, t in affine] + [g for mats in bump_mats for g in mats]:
         table.setflags(write=False)
     return tuple(affine), tuple(bump_mats)

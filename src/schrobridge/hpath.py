@@ -31,6 +31,7 @@ from .core import (
 from .solver import SchroedingerSolution, _bandwidth, plan_matrix
 
 _DRIFT_CHUNK = 4_000_000  # max entries of the (paths x atoms) logit block
+N_BOOTSTRAP = 20  # resamples behind the endpoint diagnostics' standard errors
 
 
 @dataclass(frozen=True)
@@ -212,7 +213,7 @@ class EndpointReport:
 
 
 def endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution,
-                         bins=50, n_bootstrap=20) -> EndpointReport:
+                         bins=50) -> EndpointReport:
     """Compare simulated endpoints with the target law sol.mu2 and the plan.
 
     Terminal law: bounded-Lipschitz distance on the full empirical measure,
@@ -251,7 +252,7 @@ def endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution,
     # a resample is a count vector over the bin ids and, in 1-D, emp's atoms
     tv_samples = []
     w2_samples = []
-    for _ in range(n_bootstrap):
+    for _ in range(N_BOOTSTRAP):
         take = rng.choice(n, size=n, replace=True)
         tv_samples.append(tv_distance(np.bincount(ids[take], minlength=len(plan_bins)) / n,
                                       plan_bins))

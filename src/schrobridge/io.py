@@ -309,31 +309,29 @@ def _support_from(coords, vols):
 
 
 def load_measure_csv(path) -> DiscreteMeasure:
-    """Measure of a weight file; every error, zero total mass included, names the file."""
+    """Normalized measure of a weight file; every error, zero mass included, names the file."""
     header, data = _parse_table(path)
     with _errors_name(path):
         coords, weights, vols = _split_columns(header, data, "weight")
         if vols is None:
             vols = np.ones(len(weights))
-        mu = DiscreteMeasure(_support_from(coords, vols), weights,
-                             is_probability=abs(weights.sum() - 1.0) <= 1e-12)
+        mu = DiscreteMeasure(_support_from(coords, vols), weights)
         if not mu.total_mass > 0:
             raise ValueError("weights have zero total mass")
-    return mu
+        return mu.normalized()
 
 
 def load_density_csv(path) -> Density:
-    """Density of a density file; every error, zero total mass included, names the file."""
+    """Normalized density of a density file; every error, zero mass included, names the file."""
     header, data = _parse_table(path)
     with _errors_name(path):
         coords, values, vols = _split_columns(header, data, "density")
         vols = _infer_volumes(coords, vols)
+        p = Density(_support_from(coords, vols), values)
         mass = float(values @ vols)
-        p = Density(_support_from(coords, vols), values,
-                    is_probability=abs(mass - 1.0) <= 1e-10)
         if not mass > 0:
             raise ValueError("density has zero total mass")
-    return p
+        return Density(p.support, values / mass, is_probability=True)
 
 
 def load_kernel_csv(path, source: Support, target: Support) -> DenseKernel:

@@ -28,12 +28,10 @@ from .core import (
     w2_distance,
 )
 from .control import objective_from_solution
-from .solver import SchroedingerSolution, solve_schrodinger
+from .solver import INNER_MAX_ITERS, INNER_TOL, SchroedingerSolution, solve_schrodinger
 
 DEFAULT_DAMPING = 0.5
 DEFAULT_EPS_SCHEDULE = tuple(2.0 ** (-k) for k in range(8))
-INNER_TOL = 1e-12
-INNER_MAX_ITERS = 20000
 ANDERSON_MEMORY = 5
 
 
@@ -227,8 +225,9 @@ def verify_moment_measure(u_bar, support: Support, p1: Density):
     Forms the discrete pushforward with atoms at the lattice gradient of
     ``u_bar`` weighted by exp(-u_bar) * cell volume (normalized), and
     returns ``(pushforward_error, w2_check)``: the bounded-Lipschitz
-    distance of the pushforward to the target, and the Brenier gap on
-    ``W2_CLOUD_CAP`` grid points x_k drawn from exp(-u) dx (key 0): the
+    distance of the pushforward to the target, and the Brenier gap on the
+    ``W2_CLOUD_CAP`` grid points x_k at the stratified quantile levels
+    (k + 1/2) / ``W2_CLOUD_CAP`` of exp(-u) dx in grid order: the
     mean of |x_k - grad u(x_k)|^2 minus the squared ``w2_distance`` of the
     clouds x_k and grad u(x_k). The pairing is one coupling, so the gap is
     nonnegative up to rounding, and zero when the pairing is optimal, as it
@@ -246,9 +245,9 @@ def verify_moment_measure(u_bar, support: Support, p1: Density):
     target = p1.to_measure().normalized()
     pushforward_error = bl_distance(push, target)
 
-    rng = np.random.Generator(np.random.Philox(key=0))
-    draw = rng.choice(support.n_points, size=W2_CLOUD_CAP, p=rho_w)
-    x, y = support.points[draw], du[draw]
+    levels = (np.arange(W2_CLOUD_CAP) + 0.5) / W2_CLOUD_CAP
+    at = np.minimum(np.searchsorted(np.cumsum(rho_w), levels), support.n_points - 1)
+    x, y = support.points[at], du[at]
     gap = float(np.mean(np.sum((x - y) ** 2, axis=1))) - w2_distance(x, y) ** 2
     return pushforward_error, gap
 
@@ -262,10 +261,10 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
     u = -log p0 gauged to min zero, with the last level's midpoint-convexity
     defect, pushforward error and W2 check; per-level diagnostics record
     residual, objective, the bounded-Lipschitz drift between consecutive
-    densities, the per-level convexity/pushforward numbers, and the
-    outer-step and fallback counts. A non-converged level aborts; the
-    error's ``partial`` holds the ``diagnostics`` rows and ``traces``
-    of the levels completed before it.
+    densities, the per-level convexity, pushforward and W2-check numbers,
+    and the outer-step and fallback counts. A non-converged level aborts;
+    the error's ``partial`` attribute holds the ``diagnostics`` rows and
+    ``traces`` of the levels completed before it.
     """
     eps_schedule = tuple(float(e) for e in eps_schedule)
     if len(eps_schedule) == 0 or not all(0 < e < math.inf for e in eps_schedule):
@@ -300,6 +299,7 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
             "bl_drift": drift_bl,
             "convexity_defect": check_convexity(u_eps, p_eps.support),
             "pushforward_error": push_err,
+            "w2_check": w2_check,
             "outer_steps": len(trace.iterates) - 1,
             "fallbacks": trace.fallbacks,
         })

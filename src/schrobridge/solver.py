@@ -31,6 +31,8 @@ from .core import (
 
 DEFAULT_TOL = 1e-10
 DEFAULT_MAX_ITERS = 5000
+# The tight budget of the solves inside control values, moment fixed points and ladders.
+INNER_TOL, INNER_MAX_ITERS = 1e-12, 20000
 # A scaling outside this range is absorbed into the log potentials.
 SCALING_BOUNDS = (1e-100, 1e100)
 # Overrelaxation: the plain sweeps per contraction fit, the safeguard's window

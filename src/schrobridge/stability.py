@@ -26,11 +26,15 @@ from .core import (
     product_bl_distance,
 )
 from .solver import (
+    INNER_MAX_ITERS,
+    INNER_TOL,
     SchroedingerSolution,
     plan_matrix,
     solve_schrodinger,
     truncated_potentials,
 )
+
+PROBE_SHIFT = 0.25
 
 
 def _smooth_wiggle(source, target):
@@ -164,14 +168,12 @@ def _supnorm_gap(sol_a, sol_b, in_s, in_t):
             + float(np.abs(sol_b.u2 - sol_a.u2)[in_t].max()))
 
 
-def run_convergence(base, family, probes, m,
-                    tol=1e-12, max_iters=20000, r_prime=None,
-                    probe_shift=0.25) -> ConvergenceReport:
+def run_convergence(base, family, probes, m, tol=INNER_TOL, r_prime=None) -> ConvergenceReport:
     """Solve every family member (n, q_n, mu1_n, mu2_n) and report its distance to the base.
 
     Per index n: bounded-Lipschitz distance of plans; dictionary gap of the
     product factor measures; worst probe gap of the truncated potential
-    sums with probes moved by probe_shift / n along the first axis (snapped
+    sums with probes moved by PROBE_SHIFT / n along the first axis (snapped
     to the grid); and, when ``r_prime`` is given, the summed sup-norm
     potential gap over B_{r_prime}, valid under the equal-mass
     normalization (always in force here) and a finite semiconvexity
@@ -193,7 +195,7 @@ def run_convergence(base, family, probes, m,
         if not (0 < r_prime < math.inf and in_s.any() and in_t.any()):
             raise ValueError("need a finite r_prime > 0 whose ball holds a point "
                              "of each support")
-    base_sol = solve_schrodinger(q, mu1, mu2, tol=tol, max_iters=max_iters)
+    base_sol = solve_schrodinger(q, mu1, mu2, tol=tol, max_iters=INNER_MAX_ITERS)
     base_plan = plan_matrix(base_sol)
     base_product = np.outer(base_sol.nu1.weights, base_sol.nu2.weights)
     base_potentials = truncated_potentials(base_sol, m)
@@ -203,7 +205,7 @@ def run_convergence(base, family, probes, m,
     rows = []
     for n, qn, m1n, m2n in family:
         try:
-            sol = solve_schrodinger(qn, m1n, m2n, tol=tol, max_iters=max_iters)
+            sol = solve_schrodinger(qn, m1n, m2n, tol=tol, max_iters=INNER_MAX_ITERS)
             if not sol.converged:
                 raise NonConvergenceError("member solve did not converge")
         except (NonConvergenceError, ValueError):
@@ -214,7 +216,7 @@ def run_convergence(base, family, probes, m,
         product_gap = product_bl_distance(
             source, target, np.outer(sol.nu1.weights, sol.nu2.weights), base_product)
         sum_gap = potential_sum_gap(base_sol, base_potentials, sol, m, probes,
-                                    moving_shift=(probe_shift / n) * shift_dir)
+                                    moving_shift=(PROBE_SHIFT / n) * shift_dir)
         sup_gap = math.nan if r_prime is None else _supnorm_gap(base_sol, sol, in_s, in_t)
         rows.append(ConvergenceRow(n, plan_gap, product_gap, sum_gap, sup_gap, True))
     return ConvergenceReport(rows=tuple(rows))

@@ -29,6 +29,7 @@ from schrobridge import (
     w2_distance_1d,
     zero_noise_continuation,
 )
+from schrobridge import stability
 from schrobridge.cli import main
 from schrobridge.core import empirical_measure
 from conftest import (
@@ -204,7 +205,7 @@ def _stability_base():
     return q, mu1, mu2
 
 
-def test_acceptance_06_stability_ladders():
+def test_acceptance_06_stability_ladders(monkeypatch):
     base = _stability_base()
     q, mu1, mu2 = base
     probes = [(5, 17), (20, 20), (33, 8)]
@@ -216,7 +217,8 @@ def test_acceptance_06_stability_ladders():
     ok_trend = all(r <= 0.25 for r in ratios.values())
 
     zero = make_family(q, mu1, mu2, "kernel_perturbation", index_set=[4, 64], amplitude=0.0)
-    zrep = run_convergence(base, zero, probes, m=2, probe_shift=0.0, tol=1e-12)
+    monkeypatch.setattr(stability, "PROBE_SHIFT", 0.0)
+    zrep = run_convergence(base, zero, probes, m=2, tol=1e-12)
     ok_zero = all(max(r.plan_bl, r.product_gap, r.potential_gap) <= 2e-12
                   for r in zrep.rows)
     _report(6, "stability ladders", ok_trend and ok_zero,

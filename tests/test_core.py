@@ -24,6 +24,7 @@ from schrobridge import (
     w2_distance_1d,
 )
 from schrobridge.core import (
+    UNIT_MASS_TOL,
     _dictionary_tables,
     empirical_measure,
     lattice_neighbors,
@@ -172,6 +173,23 @@ class TestMeasureInvariants:
         p = gaussian_density(g, 0.3)
         back = Density.from_measure(p.to_measure())
         assert np.allclose(back.values, p.values)
+
+    @settings(derandomize=True, max_examples=60, deadline=None)
+    @given(dim=st.sampled_from([1, 2]), n=st.integers(2, 9),
+           offset=st.floats(-2.0, 2.0), data=st.data())
+    def test_density_and_its_measure_share_the_unit_mass_rule(self, dim, n, offset, data):
+        # masses within twice the tolerance of 1, on both sides
+        g = make_grid(dim, 2.0, n)
+        v = np.array(data.draw(st.lists(st.floats(0.01, 1.0), min_size=g.n_points,
+                                        max_size=g.n_points)))
+        v = v / (v @ g.cell_volumes) * (1.0 + offset * UNIT_MASS_TOL)
+        try:
+            p = Density(g, v, is_probability=True)
+        except ValueError:
+            with pytest.raises(ValueError, match="unit mass"):
+                DiscreteMeasure(g, v * g.cell_volumes, is_probability=True)
+            return
+        assert p.to_measure().is_probability
 
 
 class TestEvalKernel:

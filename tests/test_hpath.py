@@ -26,6 +26,7 @@ from schrobridge.core import (
     w2_distance,
     w2_distance_1d,
 )
+from schrobridge import hpath
 from schrobridge.hpath import (
     EndpointReport,
     PathEnsemble,
@@ -375,12 +376,13 @@ class TestSimulate:
 
 
 class TestEndpointDiagnostics:
-    def test_tv_decreases_along_n_paths_ladder(self, bridge_setup):
+    def test_tv_decreases_along_n_paths_ladder(self, bridge_setup, monkeypatch):
         g, p0, p1, sol = bridge_setup
+        monkeypatch.setattr(hpath, "N_BOOTSTRAP", 0)
         tvs = []
         for n in (200, 1000, 5000, 20000):
             ens = simulate(sol, n, 100, seed=42)
-            diag = endpoint_diagnostics(ens, sol, bins=25, n_bootstrap=0)
+            diag = endpoint_diagnostics(ens, sol, bins=25)
             tvs.append(diag.tv_joint)
         assert tvs[-1] < tvs[0]
         assert tvs[-1] < 0.1
@@ -404,7 +406,7 @@ class TestEndpointDiagnostics:
 
         assert stat <= chi2.ppf(0.999, dof)
 
-    def test_1d_subsample_quantile_matches_lp(self):
+    def test_1d_subsample_quantile_matches_lp(self, monkeypatch):
         # the bench's shape: 200 of 4000 paths against 200 draws from the 201-atom target
         g = make_grid(1, 5.0, 201)
         sol = control_value(gaussian_density(g, 0.36), gaussian_density(g, 1.0), eps=0.5).solution
@@ -414,7 +416,8 @@ class TestEndpointDiagnostics:
         x = ens.terminal[rng.choice(4000, size=200, replace=False)]
         p = target.weights / target.weights.sum()
         y = g.points[rng.choice(201, size=200, replace=True, p=p)]
-        got = endpoint_diagnostics(ens, sol, n_bootstrap=0).w2_subsample
+        monkeypatch.setattr(hpath, "N_BOOTSTRAP", 0)
+        got = endpoint_diagnostics(ens, sol).w2_subsample
         assert got == w2_distance(x, y)
         sub, tgt_small = empirical_measure(x), empirical_measure(y)
         assert got == pytest.approx(w2_distance_1d(sub, tgt_small), rel=1e-14, abs=0)

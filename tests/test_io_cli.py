@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 import schrobridge.data
 import schrobridge.io
 from schrobridge import (
+    Density,
     DiscreteMeasure,
     GaussianHeatKernel,
     control_value,
@@ -419,6 +420,26 @@ class TestCliMoment:
         assert diag[0, -2:].tolist() == [1.0, 0.0]
 
 
+    @pytest.mark.parametrize("config, status, levels", [
+        ("p1 = gaussian:0,1\nr = 4.0\nschedule = 1,0.5\n", 0, 2),
+        ("p1 = gaussian:0,1\nr = 4.0\nschedule = 8,0.1\ntol = 0.07\nmax_outer = 1\n", 2, 1),
+    ], ids=["converged", "exit_2"])
+    def test_every_level_reports_its_w2_check(self, tmp_path, config, status, levels):
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(config)
+        out = tmp_path / "o"
+        assert main(["moment", "--config", str(cfg), "--grid", "1,4,41",
+                     "--out", str(out)]) == status
+        with open(out / "moment_diagnostics.csv") as fh:
+            header = fh.readline().strip().split(",")
+            rows = [dict(zip(header, line.strip().split(","))) for line in fh]
+        assert header[5:7] == ["pushforward_error", "w2_check"]
+        assert len(rows) == levels
+        assert all(abs(float(row["w2_check"])) <= 1e-12 for row in rows)
+        if status == 0:
+            with open(out / "moment.json") as fh:
+                assert json.load(fh)["w2_check"] == float(rows[-1]["w2_check"])
+
     def test_off_centre_target_within_default_max_outer(self, tmp_path):
         cfg = tmp_path / "c.cfg"
         with open(cfg, "w") as fh:
@@ -558,3 +579,51 @@ def test_bad_input_file_exits_1_naming_it(tmp_path, capsys, command, key, text, 
     cfg.write_text(f"{key} = {bad}\n{rest}")
     assert main([command, "--config", str(cfg), "--out", str(tmp_path / "o")]) == 1
     assert capsys.readouterr().err == f"error: {bad}: {message}\n"
+
+
+def _artifact_numbers(out_dir):
+    """Every number of every artifact but the manifest, one flat array per file."""
+    def flat(obj):
+        if isinstance(obj, dict):
+            return [x for v in obj.values() for x in flat(v)]
+        if isinstance(obj, list):
+            return [x for v in obj for x in flat(v)]
+        return [] if obj is None else [float(obj)]
+
+    out = {}
+    for name in sorted(os.listdir(out_dir)):
+        path = out_dir / name
+        if name.endswith(".json") and name != "manifest.json":
+            with open(path) as fh:
+                out[name] = np.array(flat(json.load(fh)))
+        elif name.endswith(".csv"):
+            out[name] = np.loadtxt(path, delimiter=",", skiprows=1, ndmin=2).ravel()
+    return out
+
+
+@pytest.mark.parametrize("command, config", [
+    ("control", "p0 = {f}\np1 = {f}\neps = 0.5\n"),
+    ("bridge", "p0 = {f}\np1 = {f}\neps = 0.5\nn_paths = 200\nn_steps = 4\nseed = 3\n"),
+    ("moment", "p1 = {f}\nr = 2.0\nschedule = 1,0.5\n"),
+])
+def test_density_file_is_a_law_given_up_to_scale(tmp_path, command, config):
+    # a 41-point N(0, 1) density on [-2, 2], saved at three total masses
+    g = make_grid(1, 2.0, 41)
+    p = gaussian_density(g, 1.0)
+    runs = {}
+    for scale in (1.0, 1.0 + 5e-11, 1.5):
+        f = tmp_path / f"p_{scale!r}.csv"
+        save_density_csv(f, Density(g, p.values * scale))
+        cfg = tmp_path / f"{scale!r}.cfg"
+        cfg.write_text(config.format(f=f))
+        out = tmp_path / f"out_{scale!r}"
+        assert main([command, "--config", str(cfg), "--out", str(out)]) == 0, scale
+        runs[scale] = _artifact_numbers(out)
+    ref = runs.pop(1.0)
+    assert ref
+    for got in runs.values():
+        assert got.keys() == ref.keys()
+        for name, values in ref.items():
+            np.testing.assert_allclose(got[name], values, rtol=1e-12,
+                                       atol=1e-12 * np.abs(values[np.isfinite(values)]).max(),
+                                       err_msg=name)

@@ -1,5 +1,7 @@
 """CLI commands run on numpy alone, without scipy or numpy.ma, in one and two dimensions.
 
+A moment run draws no random numbers, so it does not load numpy.random either.
+
 The commands run in a fresh interpreter, because the test process itself
 imports scipy. There ``sys.modules["scipy"]`` is None, so any import of
 scipy or of one of its submodules raises.
@@ -51,3 +53,27 @@ def test_cli_commands_load_no_scipy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", COMMANDS, str(tmp_path)], env=env,
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
+
+
+MOMENT_ONLY = """
+import os
+import sys
+
+from schrobridge.cli import main
+
+out, p1, grid = sys.argv[1:]
+cfg = os.path.join(out, "moment.cfg")
+with open(cfg, "w") as fh:
+    fh.write(f"p1 = {p1}\\nr = 2.0\\nschedule = 1,0.5\\n")
+assert main(["moment", "--config", cfg, "--grid", grid, "--out", out]) == 0
+assert "numpy.random" not in sys.modules
+"""
+
+
+def test_moment_run_draws_no_random_numbers(tmp_path):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(SRC), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    for p1, grid in (("gaussian:0,1", "1,2,21"), ("gaussian:0,0,1", "2,2,11")):
+        proc = subprocess.run([sys.executable, "-c", MOMENT_ONLY, str(tmp_path), p1, grid],
+                              env=env, capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, (grid, proc.stderr)

@@ -114,12 +114,12 @@ class TestMakeFamily:
 
 
 class TestRunConvergence:
-    def test_zero_perturbation_gaps_at_solver_tolerance(self, base_instance):
+    def test_zero_perturbation_gaps_at_solver_tolerance(self, base_instance, monkeypatch):
         q, mu1, mu2 = base_instance
         fam = make_family(q, mu1, mu2, "kernel_perturbation",
                           index_set=[1, 2], amplitude=0.0)
-        rep = run_convergence(base_instance, fam, PROBES, m=2, probe_shift=0.0,
-                              r_prime=1.8)
+        monkeypatch.setattr(stability, "PROBE_SHIFT", 0.0)
+        rep = run_convergence(base_instance, fam, PROBES, m=2, r_prime=1.8)
         for row in rep.rows:
             assert row.plan_bl <= 2e-12
             assert row.product_gap <= 2e-12
@@ -146,11 +146,12 @@ class TestRunConvergence:
         rep = run_convergence(base_instance, fam, PROBES, m=2)
         assert rep.rows[0].plan_bl <= 3.0 * input_noise
 
-    def test_failed_member_recorded_not_fatal(self, base_instance):
+    def test_failed_member_recorded_not_fatal(self, base_instance, monkeypatch):
         q, mu1, mu2 = base_instance
         fam = make_family(q, mu1, mu2, "kernel_perturbation",
                           index_set=[4, 8], amplitude=1.0)
-        rep = run_convergence(base_instance, fam, PROBES, m=2, max_iters=1)
+        monkeypatch.setattr(stability, "INNER_MAX_ITERS", 1)
+        rep = run_convergence(base_instance, fam, PROBES, m=2)
         assert all(not row.solved for row in rep.rows)
         assert all(math.isnan(row.plan_bl) for row in rep.rows)
 
