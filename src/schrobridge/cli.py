@@ -189,17 +189,15 @@ def _cmd_control(run: _Run):
     if not all(0 < eps < math.inf for eps in eps_list):
         raise ValueError("every eps in the list must be finite and > 0")
     opts = run.given(tol=float, max_iters=int)
-    reports = []
+    rows = []  # report numbers, not solves: memory does not grow with the levels
     for eps in eps_list:
         rep = control_value(p0, p1, eps, **opts)
-        reports.append((eps, rep))
         if not rep.converged:
             raise NonConvergenceError(f"control solve stalled at eps={eps:g}")
-    write_json(run.path("control.json"),
-               {"reports": [dict(eps=eps, **rep.as_dict()) for eps, rep in reports]})
-    write_csv(run.path("control_sweep.csv"), ["eps", "value", "max_pairwise_gap"],
-              [eps_list, [rep.value for _, rep in reports],
-               [rep.max_pairwise_gap for _, rep in reports]])
+        rows.append(dict(eps=eps, **rep.as_dict()))
+    write_json(run.path("control.json"), {"reports": rows})
+    columns = ["eps", "value", "max_pairwise_gap"]
+    write_csv(run.path("control_sweep.csv"), columns, [[[row[c] for row in rows] for c in columns]])
     return 0
 
 
@@ -229,10 +227,9 @@ def _cmd_bridge(run: _Run):
 
 
 def _write_moment_diagnostics(run: _Run, rows):
-    columns = ["eps", "residual", "objective", "bl_drift", "convexity_defect",
-               "pushforward_error", "w2_check", "outer_steps", "fallbacks"]
-    write_csv(run.path("moment_diagnostics.csv"), columns,
-              [[row[c] for row in rows] for c in columns])
+    cols = ["eps", "residual", "objective", "bl_drift", "convexity_defect",
+            "pushforward_error", "w2_check", "outer_steps", "fallbacks"]
+    write_csv(run.path("moment_diagnostics.csv"), cols, [[[r[c] for r in rows] for c in cols]])
 
 
 def _cmd_moment(run: _Run):
@@ -278,7 +275,7 @@ def _cmd_stability(run: _Run):
                              **run.given(tol=float, r_prime=float))
     columns = ["n", "plan_bl", "product_gap", "potential_gap", "supnorm_gap"]
     write_csv(run.path("stability.csv"), columns,
-              [[getattr(row, c) for row in report.rows] for c in columns])
+              [[[getattr(row, c) for row in report.rows] for c in columns]])
     summary = report.summary()
     summary["semiconvexity_constant"] = semiconvexity_constant(kernel)
     write_json(run.path("stability_summary.json"), summary)

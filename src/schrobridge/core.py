@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import functools
 import math
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,6 +34,7 @@ BL_DICTIONARY_VERSION = 1
 _BL_LEVELS = 4            # Gaussian bump scales R, R/2, R/4, R/8
 _BL_MAX_CENTERS = 5000    # per-level cap on bump centers (high-dim guard)
 _BL_AFFINE_STEPS = 16     # offsets -R .. R in steps of R/8
+_TABLES = {}              # (support ids, radius) -> dictionary tables, dropped with a support
 
 
 class OracleTooLargeError(ValueError):
@@ -118,12 +120,8 @@ class Support:
 
 
 def same_support(a: Support, b: Support) -> bool:
-    return a is b or (
-        a.dim == b.dim
-        and a.n_points == b.n_points
-        and np.array_equal(a.points, b.points)
-        and np.array_equal(a.cell_volumes, b.cell_volumes)
-    )
+    return a is b or (np.array_equal(a.points, b.points)
+                      and np.array_equal(a.cell_volumes, b.cell_volumes))
 
 
 @dataclass(frozen=True)
@@ -498,7 +496,6 @@ def _bl_radius(*points):
     return 2.0 ** math.ceil(math.log2(r))
 
 
-@functools.lru_cache(maxsize=8)
 def _dictionary_tables(factors, radius):
     """Clipped affine + dyadic Gaussian bump dictionary (version 1), on a product.
 
@@ -510,10 +507,13 @@ def _dictionary_tables(factors, radius):
     read-only (affine, bumps): for each direction, the factors it meets
     and its clipped projections (one array axis per met factor, offsets
     last); for each bump level, one bump matrix per factor (amplitude on
-    the first). Cached by the identity of the supports, which are
-    immutable, so a ladder of plans on one pair of supports evaluates the
-    dictionary once.
+    the first). Kept by the identity of the supports, which are immutable,
+    for as long as all of them live: a ladder of plans on one pair of
+    supports evaluates the dictionary once, a support used once frees it.
     """
+    key = (tuple(map(id, factors)), radius)
+    if key in _TABLES:
+        return _TABLES[key]
     dim = sum(f.dim for f in factors)
     directions = list(np.eye(dim))
     if dim > 1:
@@ -538,7 +538,10 @@ def _dictionary_tables(factors, radius):
         bump_mats.append((min(1.0, s) * g[0], *g[1:]))
     for table in [t for _, t in affine] + [g for mats in bump_mats for g in mats]:
         table.setflags(write=False)
-    return tuple(affine), tuple(bump_mats)
+    tables = _TABLES[key] = tuple(affine), tuple(bump_mats)
+    for f in set(factors):
+        weakref.finalize(f, _TABLES.pop, key, None)
+    return tables
 
 
 def _dictionary_integrals(w, tables):

@@ -30,7 +30,7 @@ from .core import (
 )
 from .solver import SchroedingerSolution, _bandwidth, plan_matrix
 
-_DRIFT_CHUNK = 4_000_000  # max entries of the (paths x atoms) logit block
+_DRIFT_CHUNK = 2**16  # max entries of a (paths x atoms) logit block: a fixed working set
 N_BOOTSTRAP = 20  # resamples behind the endpoint diagnostics' standard errors
 
 

@@ -25,7 +25,6 @@ import math
 import numpy as np
 
 from .core import DenseKernel, Density, DiscreteMeasure, Support
-from .solver import plan_matrix
 
 
 _FLOAT_SPEC = ".17g"  # the one float format of every artifact
@@ -70,11 +69,12 @@ def write_json(path, obj):
         fh.write(dumps_json(obj))
 
 
-def write_csv(path, header, columns):
-    """CSV of equal-length columns under ``header``; see ``_csv_rows`` for the fields."""
+def write_csv(path, header, blocks):
+    """CSV under ``header`` of row blocks, each a list of equal-length ``_csv_rows`` columns."""
     with open(path, "wb") as fh:
         fh.write(",".join(header).encode() + b"\n")
-        fh.writelines(_csv_rows([np.asarray(c) for c in columns]))
+        for columns in blocks:
+            fh.writelines(_csv_rows([np.asarray(c) for c in columns]))
 
 
 # ---------------------------------------------------------------------------
@@ -361,12 +361,16 @@ def solution_payload(sol):
 
 
 def write_plan_csv(path, sol):
-    plan = plan_matrix(sol)
-    write_csv(path, ["i", "j", "mass"], [*np.indices(plan.shape).reshape(2, -1), plan.ravel()])
+    """Rows i, j, mass of ``plan_matrix(sol)``, built a block of plan rows at a time."""
+    n, m = sol.mu1.support.n_points, sol.mu2.support.n_points
+    step = max(1, _CHUNK_ROWS // m)
+    blocks = (np.arange(a, min(a + step, n)) for a in range(0, n, step))
+    write_csv(path, ["i", "j", "mass"], ((rows.repeat(m), np.tile(np.arange(m), len(rows)),
+                                         np.exp(sol.log_plan(rows)).ravel()) for rows in blocks))
 
 
 def write_terminal_csv(path, ens):
-    write_csv(path, [f"x_{k + 1}" for k in range(ens.dim)], ens.terminal.T)
+    write_csv(path, [f"x_{k + 1}" for k in range(ens.dim)], [ens.terminal.T])
 
 
 def write_paths_binary(path, ens):

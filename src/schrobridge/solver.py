@@ -84,13 +84,9 @@ class SchroedingerSolution:
     def nu2(self) -> DiscreteMeasure:
         return DiscreteMeasure(self.mu2.support, np.exp(self.log_nu2))
 
-    def log_plan(self):
-        """Log of the plan matrix nu1_i q_ij nu2_j."""
-        return (
-            self.log_nu1[:, None]
-            + log_eval_kernel(self.kernel)
-            + self.log_nu2[None, :]
-        )
+    def log_plan(self, rows=slice(None)):
+        """Log of the plan matrix nu1_i q_ij nu2_j, on the source points ``rows``."""
+        return self.log_nu1[rows, None] + log_eval_kernel(self.kernel)[rows] + self.log_nu2[None, :]
 
 
 def _hat(radii, m):

@@ -31,7 +31,7 @@ def gaussian_density(grid, var, mean=0.0):
 
 def _save_table(path, support: Support, value_name, values):
     header = [f"x_{k + 1}" for k in range(support.dim)] + [value_name, "cell_volume"]
-    write_csv(path, header, [*support.points.T, values, support.cell_volumes])
+    write_csv(path, header, [[*support.points.T, values, support.cell_volumes]])
 
 
 def save_measure_csv(path, mu: DiscreteMeasure):

@@ -16,13 +16,16 @@ from schrobridge import (
     Support,
     bl_distance,
     entropy,
+    make_family,
     make_grid,
     product_bl_distance,
     product_support,
     relative_entropy,
+    run_convergence,
     w2_distance,
     w2_distance_1d,
 )
+from schrobridge import core
 from schrobridge.core import (
     UNIT_MASS_TOL,
     _dictionary_tables,
@@ -491,8 +494,18 @@ def _two_plans(source, target, seed=3):
         source.n_points, target.n_points) for _ in range(2)]
 
 
+class _CountingTables(dict):
+    """The dictionary table cache, counting the table sets stored (built) in it."""
+
+    builds = 0
+
+    def __setitem__(self, key, value):
+        self.builds += 1
+        super().__setitem__(key, value)
+
+
 class TestDictionaryTableCache:
-    """The dictionary tables are cached per set of supports; no value depends on the cache."""
+    """The dictionary tables live as long as their supports; no value depends on the cache."""
 
     def test_equal_supports_give_the_values_of_one_shared_support(self):
         g = make_grid(1, 2.0, 15)
@@ -507,16 +520,31 @@ class TestDictionaryTableCache:
         assert (bl_distance(DiscreteMeasure(twin, mu.weights), nu).hex()
                 == bl_distance(mu, nu).hex())
 
-    def test_repeated_and_cleared_calls_agree_bit_for_bit(self):
+    def test_repeated_and_cleared_calls_agree_bit_for_bit(self, monkeypatch):
+        tables = _CountingTables()
+        monkeypatch.setattr(core, "_TABLES", tables)
         source, target = make_grid(1, 2.0, 11), make_grid(2, 1.0, 6)
         w1, w2 = _two_plans(source, target)
-        _dictionary_tables.cache_clear()
         first = product_bl_distance(source, target, w1, w2).hex()
         again = [product_bl_distance(source, target, w1, w2).hex() for _ in range(3)]
-        info = _dictionary_tables.cache_info()
-        assert again == [first] * 3 and (info.misses, info.hits) == (1, 3)
-        _dictionary_tables.cache_clear()
+        assert again == [first] * 3 and tables.builds == 1
+        # a rebuild, on equal supports after the first ones are freed, gives the same bits
+        del source, target
+        gc.collect()
+        assert len(tables) == 0
+        source, target = make_grid(1, 2.0, 11), make_grid(2, 1.0, 6)
         assert product_bl_distance(source, target, w1, w2).hex() == first
+        assert tables.builds == 2
+
+    def test_stability_ladder_builds_the_tables_once(self, monkeypatch):
+        tables = _CountingTables()
+        monkeypatch.setattr(core, "_TABLES", tables)
+        g = make_grid(1, 2.0, 21)
+        mu = DiscreteMeasure(g, np.full(g.n_points, 1.0 / g.n_points), is_probability=True)
+        q = GaussianHeatKernel(source=g, target=g, t=1.0, eps=0.8)
+        family = make_family(q, mu, mu, "kernel_perturbation", index_set=(4, 8, 16))
+        rep = run_convergence((q, mu, mu), family, [(3, 5)], m=2)
+        assert all(row.solved for row in rep.rows) and tables.builds == 1
 
     def test_tables_are_read_only(self):
         g = make_grid(1, 1.0, 6)
@@ -526,17 +554,18 @@ class TestDictionaryTableCache:
                 table[...] = 0.0
 
     def test_cache_is_bounded(self):
-        _dictionary_tables.cache_clear()
-        first = make_grid(1, 1.0, 4)
-        released = weakref.ref(first)
+        """A table set lives exactly as long as every support it was built on."""
+        source, target = make_grid(1, 1.0, 4), make_grid(1, 1.0, 5)
         w = np.full(4, 0.25)
-        bl_distance(DiscreteMeasure(first, w), DiscreteMeasure(first, w))
-        del first
-        maxsize = _dictionary_tables.cache_info().maxsize
-        assert maxsize is not None
-        for _ in range(2 * maxsize):
-            g = make_grid(1, 1.0, 4)
-            bl_distance(DiscreteMeasure(g, w), DiscreteMeasure(g, w))
+        bl_distance(DiscreteMeasure(source, w), DiscreteMeasure(source, w))
+        product_bl_distance(source, target, np.full((4, 5), 0.05), np.full((4, 5), 0.05))
+        single = weakref.ref(_dictionary_tables((source,), 1.0)[1][0][0])
+        product = weakref.ref(_dictionary_tables((source, target), 1.0)[1][0][1])
         gc.collect()
-        assert _dictionary_tables.cache_info().currsize == maxsize
-        assert released() is None
+        assert single() is not None and product() is not None  # live supports keep theirs
+        del target  # dropping one support of the product frees the product's tables
+        gc.collect()
+        assert single() is not None and product() is None
+        del source
+        gc.collect()
+        assert single() is None

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -313,6 +314,31 @@ class TestSimulate:
         assert a.times[0] == 0.0 and a.times[-1] == 1.0
         c = simulate(sol, 500, 40, seed=100)
         assert not np.array_equal(a.terminal, c.terminal)
+
+    @pytest.mark.parametrize("dim, n", [(1, 201), (2, 9)])
+    def test_terminals_do_not_depend_on_the_block_cap(self, monkeypatch, dim, n):
+        g = make_grid(dim, 3.0, n)
+        sol = control_value(gaussian_density(g, 0.36), gaussian_density(g, 1.0), eps=0.5).solution
+        ref = simulate(sol, 1000, 2, seed=17)
+        # a cap below one row of atoms (blocks of one path), blocks of 7 paths, which
+        # do not divide 1000, and the former cap of 4,000,000 entries (one block)
+        for cap in (g.n_points - 1, 7 * g.n_points + 3, 4_000_000):
+            monkeypatch.setattr(hpath, "_DRIFT_CHUNK", cap)
+            ens = simulate(sol, 1000, 2, seed=17)
+            assert np.array_equal(ens.initial, ref.initial)
+            assert np.array_equal(ens.terminal, ref.terminal)
+
+    def test_working_memory_is_one_block(self):
+        g = make_grid(1, 5.0, 201)
+        sol = control_value(gaussian_density(g, 0.36), gaussian_density(g, 1.0), eps=0.5).solution
+        simulate(sol, 10, 2, seed=1)  # lazily built state of the solution, outside the count
+        tracemalloc.start()
+        try:
+            simulate(sol, 20_000, 200, seed=1)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20_000 * 201 * 8 / 4  # a quarter of one (paths x atoms) float64 array
 
     def test_full_path_storage_consistent(self, bridge_setup):
         g, p0, _, sol = bridge_setup

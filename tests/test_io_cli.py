@@ -2,6 +2,7 @@ import json
 import math
 import os
 import shutil
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -183,14 +184,14 @@ class TestCsvRenderer:
         # the small artifacts' columns: floats with nan, then counts
         floats = np.array([0.125, math.nan, -1e-300, 1.0 / 3.0, math.inf])[:n_rows]
         counts = [12, 0, 10 ** 5, 3, 7][:n_rows]
-        write_csv(tmp_path / "t.csv", ["a", "b", "n"], [floats, floats[::-1], counts])
+        write_csv(tmp_path / "t.csv", ["a", "b", "n"], [[floats, floats[::-1], counts]])
         rows = zip(floats.tolist(), floats[::-1].tolist(), counts)
         assert (tmp_path / "t.csv").read_text() == "a,b,n\n" + "".join(
             f"{fmt(a)},{fmt(b)},{n}\n" for a, b, n in rows)
 
     def test_negative_integer_column_rejected(self, tmp_path):
         with pytest.raises(ValueError, match="nonnegative"):
-            write_csv(tmp_path / "t.csv", ["n"], [np.array([3, -5])])
+            write_csv(tmp_path / "t.csv", ["n"], [[np.array([3, -5])]])
 
     def test_plan_csv_lines(self, tmp_path):
         g = make_grid(1, 4.0, 60)
@@ -203,6 +204,41 @@ class TestCsvRenderer:
         lines = (tmp_path / "plan.csv").read_text().splitlines()
         assert lines == ["i,j,mass", *("%d,%d,%.17g" % (i, j, plan[i, j])
                                        for i in range(60) for j in range(60))]
+
+    def test_streamed_plan_csv_matches_the_plan(self, tmp_path):
+        # a non-square plan on distinct grids with a zero-mass source point, and
+        # 40 plan rows written in blocks of a number of rows that does not divide 40
+        source, target = make_grid(1, 3.0, 40), make_grid(1, 4.0, 300)
+        assert 40 % max(1, schrobridge.io._CHUNK_ROWS // 300) != 0
+        w1 = np.exp(-source.points[:, 0] ** 2)
+        w1[5] = 0.0
+        w2 = np.exp(-(target.points[:, 0] - 0.5) ** 2 / 2.0)
+        sol = solve_schrodinger(GaussianHeatKernel(source=source, target=target, t=1.0, eps=0.5),
+                                DiscreteMeasure(source, w1 / w1.sum(), is_probability=True),
+                                DiscreteMeasure(target, w2 / w2.sum(), is_probability=True))
+        plan = plan_matrix(sol)
+        assert not plan[5].any()
+        write_plan_csv(tmp_path / "plan.csv", sol)
+        assert (tmp_path / "plan.csv").read_bytes() == ("i,j,mass\n" + "".join(
+            f"{i},{j},{format(v, '.17g')}\n" for (i, j), v in np.ndenumerate(plan))).encode()
+
+    def test_plan_csv_working_memory_is_one_block(self, tmp_path):
+        def peak(n, name):
+            g = make_grid(1, 4.0, n)
+            w = np.exp(-g.points[:, 0] ** 2)
+            mu = DiscreteMeasure(g, w / w.sum(), is_probability=True)
+            sol = solve_schrodinger(GaussianHeatKernel(source=g, target=g, t=1.0, eps=0.5), mu, mu)
+            tracemalloc.start()
+            try:
+                write_plan_csv(tmp_path / name, sol)
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        peak(400, "first.csv")  # the renderer's lookup tables, built once per process
+        small, large = peak(400, "small.csv"), peak(800, "large.csv")
+        # four times the plan entries, the same working set: well under one (n, m) plan
+        assert large < 1.25 * small and large < 800 * 800 * 8
 
     def test_two_dimensional_terminal_csv_lines(self, tmp_path):
         g = make_grid(2, 2.0, 7)
