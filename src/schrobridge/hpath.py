@@ -227,7 +227,7 @@ def endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution,
     if not bins >= 1:
         raise ValueError("need bins >= 1")
     rng = np.random.Generator(np.random.Philox(key=ens.seed + 0x9E3779B9))
-    target = sol.mu2.normalized()
+    target = sol.mu2
     emp = empirical_measure(ens.terminal)
     bl_term = bl_distance(emp, target)
 

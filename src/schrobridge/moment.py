@@ -242,8 +242,7 @@ def verify_moment_measure(u_bar, support: Support, p1: Density):
     logw = -u + np.log(support.cell_volumes)
     rho_w = np.exp(logw - logsumexp(logw))
     push = empirical_measure(du, rho_w)
-    target = p1.to_measure().normalized()
-    pushforward_error = bl_distance(push, target)
+    pushforward_error = bl_distance(push, p1.to_measure())
 
     levels = (np.arange(W2_CLOUD_CAP) + 0.5) / W2_CLOUD_CAP
     at = np.minimum(np.searchsorted(np.cumsum(rho_w), levels), support.n_points - 1)

@@ -166,7 +166,7 @@ def reference_endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution,
                                    bins, n_bootstrap, plan_binning) -> EndpointReport:
     """endpoint_diagnostics with a measure built per resample, plans binned by ``plan_binning``."""
     rng = np.random.Generator(np.random.Philox(key=ens.seed + 0x9E3779B9))
-    target = p1.to_measure().normalized()
+    target = p1.to_measure()  # the probability law the solve took as mu2, not normalized again
     emp = empirical_measure(ens.terminal)
     bl_term = bl_distance(emp, target)
 
