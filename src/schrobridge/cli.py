@@ -86,7 +86,7 @@ def _resolve_density(run, key):
 
 def _resolve_measure(run, key):
     if run.get(key).startswith("gaussian:"):
-        return _resolve_density(run, key).to_measure().normalized()
+        return _resolve_density(run, key).to_measure()
     return load_measure_csv(_find_input(run, run.get(key)))
 
 
@@ -242,13 +242,14 @@ def _cmd_moment(run: _Run):
     except NonConvergenceError as exc:
         _write_moment_diagnostics(run, exc.partial["diagnostics"])
         raise
+    last = result.diagnostics[-1]
     write_json(run.path("moment.json"), {
         "p0": result.p0.values,
         "u_bar": result.u_bar,
         "eps_schedule": result.eps_schedule,
-        "pushforward_error": result.pushforward_error,
-        "convexity_defect": result.convexity_defect,
-        "w2_check": result.w2_check,
+        "pushforward_error": last["pushforward_error"],
+        "convexity_defect": last["convexity_defect"],
+        "w2_check": last["w2_check"],
         "recenter_shift": result.recenter_shift,
     })
     _write_moment_diagnostics(run, result.diagnostics)

@@ -377,11 +377,8 @@ def logsumexp(a, axis=None):
 def entropy(p) -> float:
     """integral p log p over the support (negative differential entropy).
 
-    Accepts a probability Density; ``None`` is the no-density sentinel and
-    returns +inf.
+    Accepts a probability Density.
     """
-    if p is None:
-        return math.inf
     v = p.values
     vol = p.support.cell_volumes
     mask = v > 0

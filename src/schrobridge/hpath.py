@@ -233,7 +233,7 @@ def endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution,
 
     k = min(ens.n_paths, W2_CLOUD_CAP)
     paths = rng.choice(ens.n_paths, size=k, replace=False)
-    atoms = rng.choice(target.support.n_points, size=k, p=target.weights / target.weights.sum())
+    atoms = rng.choice(target.support.n_points, size=k, p=target.weights)
     w2_sub = w2_distance(ens.terminal[paths], target.support.points[atoms])
 
     w2_full = None
@@ -247,7 +247,7 @@ def endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution,
     ids = _bin_ids(np.hstack([ens.initial, ens.terminal]), radius, bins)
     joint = np.bincount(ids, minlength=len(plan_bins)) / n
     tv = tv_distance(joint, plan_bins)
-    kl = relative_entropy(joint, plan_bins / plan_bins.sum())
+    kl = relative_entropy(joint, plan_bins)
 
     # a resample is a count vector over the bin ids and, in 1-D, emp's atoms
     tv_samples = []

@@ -33,6 +33,7 @@ from .solver import INNER_MAX_ITERS, INNER_TOL, SchroedingerSolution, solve_schr
 DEFAULT_DAMPING = 0.5
 DEFAULT_EPS_SCHEDULE = tuple(2.0 ** (-k) for k in range(8))
 ANDERSON_MEMORY = 5
+OUTER_TOL, OUTER_MAX_STEPS = 1e-9, 200
 
 
 @dataclass(frozen=True)
@@ -58,17 +59,13 @@ class FixedPointTrace:
 
 @dataclass(frozen=True)
 class MomentMeasureResult:
-    """Zero-noise limit candidate with its verification numbers."""
+    """Zero-noise limit candidate; its verification numbers are the last diagnostics row."""
 
     p0: Density
     u_bar: np.ndarray
     eps_schedule: tuple
-    pushforward_error: float
-    convexity_defect: float
-    w2_check: float
     recenter_shift: np.ndarray
     diagnostics: tuple
-    traces: tuple
 
 
 # ---------------------------------------------------------------------------
@@ -146,7 +143,7 @@ def _step(p: Density, p1: Density, kernel: GaussianHeatKernel, init_log_nu2=None
     return out, sol
 
 
-def solve_fixed_point(p1: Density, eps, r, tol=1e-9, max_outer=200,
+def solve_fixed_point(p1: Density, eps, r, tol=OUTER_TOL, max_outer=OUTER_MAX_STEPS,
                       init: Density | None = None) -> FixedPointTrace:
     """Anderson-accelerated fixed-point iteration in log space at one noise level.
 
@@ -252,18 +249,18 @@ def verify_moment_measure(u_bar, support: Support, p1: Density):
 
 
 def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
-                            tol=1e-9, max_outer=200) -> MomentMeasureResult:
+                            tol=OUTER_TOL, max_outer=OUTER_MAX_STEPS) -> MomentMeasureResult:
     """Drive the fixed point along a decreasing noise schedule.
 
     The target is recentered once (shift reported); each level warm-starts
     from the previous converged density. The returned potential is
-    u = -log p0 gauged to min zero, with the last level's midpoint-convexity
-    defect, pushforward error and W2 check; per-level diagnostics record
-    residual, objective, the bounded-Lipschitz drift between consecutive
-    densities, the per-level convexity, pushforward and W2-check numbers,
-    and the outer-step and fallback counts. A non-converged level aborts;
-    the error's ``partial`` attribute holds the ``diagnostics`` rows and
-    ``traces`` of the levels completed before it.
+    u = -log p0 gauged to min zero. Per-level diagnostics record residual,
+    objective, the bounded-Lipschitz drift between consecutive densities,
+    the per-level convexity, pushforward and W2-check numbers, and the
+    outer-step and fallback counts; the last row holds the returned
+    potential's. Only one level's trace is alive at a time. A non-converged
+    level aborts; the error's ``partial`` attribute holds the
+    ``diagnostics`` rows of the levels completed before it.
     """
     eps_schedule = tuple(float(e) for e in eps_schedule)
     if len(eps_schedule) == 0 or not all(0 < e < math.inf for e in eps_schedule):
@@ -271,7 +268,6 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
     p1c, shift = recentered(p1)
-    traces = []
     rows = []
     prev = None
     for eps in eps_schedule:
@@ -283,7 +279,7 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
                     f"fixed point did not converge at eps={eps:g} "
                     f"(residual {trace.residual:.3e})")
         except NonConvergenceError as exc:
-            exc.partial = {"diagnostics": tuple(rows), "traces": tuple(traces)}
+            exc.partial = {"diagnostics": tuple(rows)}
             raise
         p_eps = trace.final
         u_eps = -np.log(p_eps.values)
@@ -302,11 +298,7 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
             "outer_steps": len(trace.iterates) - 1,
             "fallbacks": trace.fallbacks,
         })
-        traces.append(trace)
+        del trace  # its solves and kernel must not outlive the level
         prev = p_eps
-    return MomentMeasureResult(
-        p0=prev, u_bar=u_eps, eps_schedule=eps_schedule,
-        pushforward_error=push_err,
-        convexity_defect=rows[-1]["convexity_defect"],
-        w2_check=w2_check, recenter_shift=shift,
-        diagnostics=tuple(rows), traces=tuple(traces))
+    return MomentMeasureResult(p0=prev, u_bar=u_eps, eps_schedule=eps_schedule,
+                               recenter_shift=shift, diagnostics=tuple(rows))

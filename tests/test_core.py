@@ -254,9 +254,6 @@ class TestEntropy:
         p = gaussian_density(g, 1.0)
         assert entropy(p) == pytest.approx(-0.5 * (1 + math.log(2 * math.pi)), abs=1e-3)
 
-    def test_no_density_sentinel(self):
-        assert entropy(None) == math.inf
-
     def test_jensen_lower_bound_random(self):
         rng = np.random.default_rng(11)
         g = make_grid(1, 1.5, 30)

@@ -173,7 +173,7 @@ def reference_endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution,
     k = min(ens.n_paths, W2_CLOUD_CAP)
     paths = rng.choice(ens.n_paths, size=k, replace=False)
     atoms = rng.choice(target.support.n_points, size=k, replace=True,
-                       p=target.weights / target.weights.sum())
+                       p=target.weights)
     w2_sub = w2_distance(ens.terminal[paths], target.support.points[atoms])
 
     w2_full = None
@@ -184,7 +184,7 @@ def reference_endpoint_diagnostics(ens: PathEnsemble, sol: SchroedingerSolution,
     plan_bins = plan_binning(sol, radius, bins)
     joint = reference_binned_joint(ens.initial, ens.terminal, radius, bins)
     tv = tv_distance(joint, plan_bins)
-    kl = relative_entropy(joint, plan_bins / plan_bins.sum())
+    kl = relative_entropy(joint, plan_bins)
 
     tv_samples = []
     w2_samples = []

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import schrobridge.cli
 import schrobridge.data
 import schrobridge.io
 from schrobridge import (
@@ -354,6 +355,31 @@ class TestCliGridBuiltin:
             fh.write("p0 = gaussian:0,0.5\np1 = gaussian:0,1.0\neps = 0.5\n")
         assert main(["control", "--config", str(cfg),
                      "--out", str(tmp_path / "o")]) == 1
+
+    def test_gaussian_measure_is_the_resolved_density_as_is(self, tmp_path, monkeypatch):
+        # on this 2-D grid a second normalization moves the weights
+        resolved, received = [], []
+        resolve, solve = schrobridge.cli._resolve_density, schrobridge.cli.solve_schrodinger
+
+        def spy_resolve(run, key):
+            resolved.append(resolve(run, key))
+            return resolved[-1]
+
+        def spy_solve(kernel, mu1, mu2, **kwargs):
+            received.append(mu1)
+            return solve(kernel, mu1, mu2, **kwargs)
+
+        monkeypatch.setattr(schrobridge.cli, "_resolve_density", spy_resolve)
+        monkeypatch.setattr(schrobridge.cli, "solve_schrodinger", spy_solve)
+        atoms = tmp_path / "atoms.csv"
+        save_measure_csv(atoms, DiscreteMeasure(make_grid(2, 1.0, 2), np.full(4, 0.25),
+                                                is_probability=True))
+        cfg = tmp_path / "c.cfg"
+        cfg.write_text(f"mu1 = gaussian:1\nmu2 = {atoms}\nkernel = gaussian:1\n")
+        assert main(["solve", "--config", str(cfg), "--grid", "2,3,31",
+                     "--out", str(tmp_path / "o")]) == 0
+        assert len(resolved) == len(received) == 1
+        assert np.array_equal(received[0].weights, resolved[0].to_measure().weights)
 
 
 class TestCliControl:

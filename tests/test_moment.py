@@ -1,4 +1,7 @@
+import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -273,16 +276,39 @@ class TestZeroNoise:
         verify = schrobridge.moment.verify_moment_measure
 
         def counted(*args):
-            calls.append(args)
-            return verify(*args)
+            calls.append(verify(*args))
+            return calls[-1]
 
         monkeypatch.setattr(schrobridge.moment, "verify_moment_measure", counted)
         schedule = [0.5, 0.25]
         res = zero_noise_continuation(std_normal, 4.0, eps_schedule=schedule, tol=1e-9)
         assert len(calls) == len(schedule)
+        # the last row holds the returned potential's numbers
         last = res.diagnostics[-1]
-        assert res.pushforward_error == last["pushforward_error"]
-        assert res.convexity_defect == last["convexity_defect"]
+        assert (last["pushforward_error"], last["w2_check"]) == calls[-1]
+        assert last["convexity_defect"] == check_convexity(res.u_bar, res.p0.support)
+
+    def test_result_keeps_one_copy_of_each_number(self, std_normal):
+        res = zero_noise_continuation(std_normal, 4.0, eps_schedule=[0.5], tol=1e-9)
+        assert [f.name for f in dataclasses.fields(res)] == [
+            "p0", "u_bar", "eps_schedule", "recenter_shift", "diagnostics"]
+
+    def test_earlier_levels_are_released(self, std_normal, monkeypatch):
+        # weak references to each level's trace, final solve and kernel
+        refs, alive = [], []
+        solve = schrobridge.moment.solve_fixed_point
+
+        def spy(*args, **kwargs):
+            gc.collect()
+            alive.append([r() is not None for r in refs])
+            trace = solve(*args, **kwargs)
+            sol = trace.final_solution
+            refs.extend(weakref.ref(obj) for obj in (trace, sol, sol.kernel))
+            return trace
+
+        monkeypatch.setattr(schrobridge.moment, "solve_fixed_point", spy)
+        zero_noise_continuation(std_normal, 4.0, eps_schedule=[1.0, 0.5, 0.25], tol=1e-9)
+        assert alive == [[], [False] * 3, [False] * 6]
 
     def test_schedule_must_decrease(self, std_normal):
         with pytest.raises(ValueError, match="decreasing"):
@@ -293,24 +319,34 @@ class TestZeroNoise:
             zero_noise_continuation(std_normal, 4.0, eps_schedule=[1.0, 0.5],
                                     tol=1e-13, max_outer=2)
         assert info.value.partial is not None
+        assert list(info.value.partial) == ["diagnostics"]
 
-    def test_small_gaussian_instance_approaches_quadratic(self, grid_r4, std_normal):
+    def test_small_gaussian_instance_approaches_quadratic(self, grid_r4, std_normal,
+                                                          monkeypatch):
+        traces = []
+        solve = schrobridge.moment.solve_fixed_point
+
+        def spy(*args, **kwargs):
+            traces.append(solve(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(schrobridge.moment, "solve_fixed_point", spy)
         # short schedule for speed; the full-depth run lives in acceptance
-        res = zero_noise_continuation(std_normal, 4.0,
-                                      eps_schedule=[1.0, 0.5, 0.25, 0.125],
-                                      tol=1e-9)
+        schedule = [1.0, 0.5, 0.25, 0.125]
+        res = zero_noise_continuation(std_normal, 4.0, eps_schedule=schedule, tol=1e-9)
         x = grid_r4.points[:, 0]
         mask = np.abs(x) <= 2.0
         diff = res.u_bar - 0.5 * x**2
         diff = diff - diff[mask].mean()
         # tail gap scales like eps * x^2 / (2 (1 + eps)): ~0.15 at eps = 1/8
         assert np.abs(diff[mask]).max() <= 0.2
-        assert res.convexity_defect <= 1e-8
+        assert res.diagnostics[-1]["convexity_defect"] <= 1e-8
         bl_drifts = [row["bl_drift"] for row in res.diagnostics[1:]]
         assert all(b > a for a, b in zip(bl_drifts[1:], bl_drifts[:-1]))
         # target-side convex profile dominates its barycenter value at
         # every noise level
-        assert all(jensen_gap(tr) >= -1e-10 for tr in res.traces)
+        assert [tr.eps for tr in traces] == schedule
+        assert all(jensen_gap(tr) >= -1e-10 for tr in traces)
 
 
 class TestVerifyMomentMeasure:
