@@ -228,7 +228,7 @@ def _cmd_bridge(run: _Run):
 
 def _write_moment_diagnostics(run: _Run, rows):
     cols = ["eps", "residual", "objective", "bl_drift", "convexity_defect",
-            "pushforward_error", "w2_check", "outer_steps", "fallbacks"]
+            "pushforward_error", "w2_check", "outer_steps"]
     write_csv(run.path("moment_diagnostics.csv"), cols, [[[r[c] for r in rows] for c in cols]])
 
 

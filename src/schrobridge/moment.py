@@ -18,6 +18,7 @@ import numpy as np
 from .core import (
     W2_CLOUD_CAP,
     Density,
+    DiscreteMeasure,
     GaussianHeatKernel,
     NonConvergenceError,
     Support,
@@ -40,8 +41,7 @@ OUTER_TOL, OUTER_MAX_STEPS = 1e-9, 200
 class FixedPointTrace:
     """Iteration record of the fixed point at one noise level.
 
-    ``objective`` is the free-energy objective of the last solved iterate;
-    ``fallbacks`` counts the damped steps taken after the first.
+    ``objective`` is the free-energy objective of the last solved iterate.
     """
 
     eps: float
@@ -50,7 +50,6 @@ class FixedPointTrace:
     converged: bool
     residual: float
     final_solution: SchroedingerSolution
-    fallbacks: int
 
     @property
     def final(self) -> Density:
@@ -129,38 +128,40 @@ def uniform_density(support: Support) -> Density:
     return Density(support, v, is_probability=True)
 
 
-def _step(p: Density, p1: Density, kernel: GaussianHeatKernel, init_log_nu2=None):
-    """One application of the fixed-point map, returning (density, solve)."""
-    sol = solve_schrodinger(kernel, p.to_measure(), p1.to_measure(),
+def _step(p: Density, target: DiscreteMeasure, kernel: GaussianHeatKernel,
+          init_log_nu2=None):
+    """One application of the fixed-point map, returning (log image, solve).
+
+    The log image is normalized on ``p``'s support; its exp is the image density.
+    """
+    sol = solve_schrodinger(kernel, p.to_measure(), target,
                             tol=INNER_TOL, max_iters=INNER_MAX_ITERS,
                             init_log_nu2=init_log_nu2)
     if not sol.converged:
         raise NonConvergenceError(
             f"inner Schrodinger solve stalled at residual {sol.final_residual:.3e}")
     logits = -kernel.eps * sol.u1 - 0.5 * np.sum(p.support.points**2, axis=1)
-    log_z = logsumexp(logits + np.log(p.support.cell_volumes))
-    out = Density(p.support, np.exp(logits - log_z), is_probability=True)
-    return out, sol
+    return logits - logsumexp(logits + np.log(p.support.cell_volumes)), sol
 
 
 def solve_fixed_point(p1: Density, eps, r, tol=OUTER_TOL, max_outer=OUTER_MAX_STEPS,
                       init: Density | None = None) -> FixedPointTrace:
     """Anderson-accelerated fixed-point iteration in log space at one noise level.
 
-    Works on x = log p with residual f = log(step(p)) - x. Each step after
-    the first is undamped type-II Anderson mixing (Walker & Ni, SIAM J.
-    Numer. Anal. 2011): gamma fits f by least squares on the last
-    ``ANDERSON_MEMORY`` differences of f, and x <- log(step(p)) - G gamma
-    with G the matching differences of log(step(p)). The first step, and
-    any step where f is not finite or the residual grew since the previous
-    step, is the damped step x <- (1 - a) x + a log(step(p)) with
-    a = ``DEFAULT_DAMPING``, and clears the history. Every update is
-    renormalized. Convergence is declared when the undamped map moves the
-    iterate by at most ``tol`` in sup norm, and the returned final iterate
-    is that undamped image. A zero-valued ``init`` is rejected: damped
-    steps never leave log 0. The target is recentered to barycenter zero
-    unless already centered. The objective is evaluated once, at the
-    iterate of the last solve.
+    Works on x = log p with residual f = g - x, where g is the log image
+    of p under the map. The first step is the damped step
+    x <- (1 - a) x + a g with a = ``DEFAULT_DAMPING``; every later step is
+    undamped type-II Anderson mixing (Walker & Ni, SIAM J. Numer. Anal.
+    2011): gamma fits f by least squares on the last ``ANDERSON_MEMORY``
+    differences of f, and x <- g - G gamma with G the matching differences
+    of g. No safeguard resets the history; for a contractive map the mixing
+    converges locally without one (Toth & Kelley, SIAM J. Numer. Anal.
+    2015). Every update is renormalized. Convergence is declared when the
+    undamped map moves the iterate by at most ``tol`` in sup norm, and the
+    returned final iterate is that undamped image. A zero-valued ``init``
+    is rejected: the damped first step never leaves log 0. The target is
+    recentered to barycenter zero unless already centered. The objective is
+    evaluated once, at the iterate of the last solve.
     """
     if max_outer < 1 or not tol > 0:
         raise ValueError("need max_outer >= 1 and tol > 0")
@@ -176,34 +177,30 @@ def solve_fixed_point(p1: Density, eps, r, tol=OUTER_TOL, max_outer=OUTER_MAX_ST
                              "damping; floor it")
         p = init
     iterates = [p]
-    residual = math.inf
     converged = False
-    sol = None
     warm = None
-    fallbacks = 0
+    dg, df = [], []
     x = np.log(p.values)
+    target = p1.to_measure()
     kernel = GaussianHeatKernel(source=support, target=p1.support, t=1.0, eps=eps)
     for k in range(max_outer):
-        image, sol = _step(p, p1, kernel, warm)
+        g, sol = _step(p, target, kernel, warm)
         warm = sol.log_nu2
-        last_residual, residual = residual, float(np.abs(image.values - p.values).max())
+        image = np.exp(g)
+        residual = float(np.abs(image - p.values).max())
         if residual <= tol:
-            iterates.append(image)
+            iterates.append(Density(support, image, is_probability=True))
             converged = True
             break
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_image = np.log(image.values)
-            f = log_image - x
-        if k == 0 or residual > last_residual or not np.all(np.isfinite(f - f_prev)):
-            fallbacks += k > 0
-            dg, df = [], []
-            x_new = (1.0 - DEFAULT_DAMPING) * x + DEFAULT_DAMPING * log_image
+        f = g - x
+        if k == 0:
+            x_new = (1.0 - DEFAULT_DAMPING) * x + DEFAULT_DAMPING * g
         else:
-            dg = [*dg, log_image - g_prev][-ANDERSON_MEMORY:]
+            dg = [*dg, g - g_prev][-ANDERSON_MEMORY:]
             df = [*df, f - f_prev][-ANDERSON_MEMORY:]
             gamma = np.linalg.lstsq(np.stack(df, axis=1), f, rcond=None)[0]
-            x_new = log_image - np.stack(dg, axis=1) @ gamma
-        g_prev, f_prev = log_image, f
+            x_new = g - np.stack(dg, axis=1) @ gamma
+        g_prev, f_prev = g, f
         x = x_new - logsumexp(x_new + np.log(support.cell_volumes))
         p = Density(support, np.exp(x), is_probability=True)
         iterates.append(p)
@@ -212,8 +209,7 @@ def solve_fixed_point(p1: Density, eps, r, tol=OUTER_TOL, max_outer=OUTER_MAX_ST
     return FixedPointTrace(
         eps=float(eps), iterates=tuple(iterates),
         objective=objective_from_solution(sol, iterates[-2], p1),
-        converged=converged, residual=residual, final_solution=sol,
-        fallbacks=fallbacks)
+        converged=converged, residual=residual, final_solution=sol)
 
 
 def verify_moment_measure(u_bar, support: Support, p1: Density):
@@ -257,7 +253,7 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
     u = -log p0 gauged to min zero. Per-level diagnostics record residual,
     objective, the bounded-Lipschitz drift between consecutive densities,
     the per-level convexity, pushforward and W2-check numbers, and the
-    outer-step and fallback counts; the last row holds the returned
+    outer-step count; the last row holds the returned
     potential's. Only one level's trace is alive at a time. A non-converged
     level aborts; the error's ``partial`` attribute holds the
     ``diagnostics`` rows of the levels completed before it.
@@ -296,7 +292,6 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
             "pushforward_error": push_err,
             "w2_check": w2_check,
             "outer_steps": len(trace.iterates) - 1,
-            "fallbacks": trace.fallbacks,
         })
         del trace  # its solves and kernel must not outlive the level
         prev = p_eps

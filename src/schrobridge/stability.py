@@ -51,14 +51,12 @@ def _mollified(mu: DiscreteMeasure, bandwidth) -> DiscreteMeasure:
     d2 = pairwise_sq_dists(pts, pts)
     k = np.exp(-d2 / (2.0 * bandwidth * bandwidth)) * vols[None, :]
     k /= k.sum(axis=1, keepdims=True)
-    w = mu.weights @ k
-    return DiscreteMeasure(mu.support, w / w.sum(), is_probability=True)
+    return DiscreteMeasure(mu.support, mu.weights @ k, is_probability=True)
 
 
 def _empirical(mu: DiscreteMeasure, n_samples, seed_key) -> DiscreteMeasure:
     rng = np.random.default_rng(seed_key)
-    idx = rng.choice(mu.support.n_points, size=n_samples,
-                     p=mu.weights / mu.weights.sum())
+    idx = rng.choice(mu.support.n_points, size=n_samples, p=mu.weights)
     counts = np.bincount(idx, minlength=mu.support.n_points).astype(float)
     return DiscreteMeasure(mu.support, counts / counts.sum(), is_probability=True)
 

@@ -287,5 +287,5 @@ def fixed_point_step(p: Density, p1: Density, eps, r) -> Density:
         raise ValueError("iterate support must lie inside B_r")
     p1, _ = recentered(p1)
     kernel = GaussianHeatKernel(source=p.support, target=p1.support, t=1.0, eps=eps)
-    out, _ = _step(p, p1, kernel)
-    return out
+    log_image, _ = _step(p, p1.to_measure(), kernel)
+    return Density(p.support, np.exp(log_image), is_probability=True)
