@@ -10,7 +10,6 @@ convex potentials through a zero-noise fixed-point scheme.
 __version__ = "0.1.0"
 
 from .core import (
-    BL_DICTIONARY_VERSION,
     DenseKernel,
     Density,
     DiscreteMeasure,

@@ -228,7 +228,7 @@ def _cmd_bridge(run: _Run):
 
 def _write_moment_diagnostics(run: _Run, rows):
     cols = ["eps", "residual", "objective", "bl_drift", "convexity_defect",
-            "pushforward_error", "w2_check", "outer_steps"]
+            "pushforward_error", "w2_check", "outer_steps", "inner_sweeps"]
     write_csv(run.path("moment_diagnostics.csv"), cols, [[[r[c] for r in rows] for c in cols]])
 
 
@@ -305,17 +305,15 @@ def build_parser():
     parser = argparse.ArgumentParser(
         prog="schrobridge",
         description="Schrodinger systems, bridges, and moment measures on grids")
-    sub = parser.add_subparsers(dest="command", required=True)
-    for name in _COMMANDS:
-        p = sub.add_parser(name)
-        p.add_argument("--config", help="flat key = value parameter file")
-        p.add_argument("--out", help="output directory")
-        p.add_argument("--seed", type=int, help="RNG seed (mandatory when stochastic)")
-        p.add_argument("--eps", type=float, help="diffusivity")
-        p.add_argument("--tol", type=float, help="solver tolerance")
-        p.add_argument("--grid", help="builtin lattice spec d,r,n")
-        p.add_argument("--full-paths", action="store_true", dest="full_paths",
-                       help="also write full trajectories as a binary block")
+    parser.add_argument("command", choices=_COMMANDS)
+    parser.add_argument("--config", help="flat key = value parameter file")
+    parser.add_argument("--out", help="output directory")
+    parser.add_argument("--seed", type=int, help="RNG seed (mandatory when stochastic)")
+    parser.add_argument("--eps", type=float, help="diffusivity")
+    parser.add_argument("--tol", type=float, help="solver tolerance")
+    parser.add_argument("--grid", help="builtin lattice spec d,r,n")
+    parser.add_argument("--full-paths", action="store_true", dest="full_paths",
+                        help="also write full trajectories as a binary block")
     return parser
 
 

@@ -41,13 +41,8 @@ class ControlValueReport:
     solution: SchroedingerSolution
 
     def as_dict(self):
-        return {
-            "value": self.value,
-            "kl_form": self.kl_form,
-            "potential_form": self.potential_form,
-            "dual_form": self.dual_form,
-            "max_pairwise_gap": self.max_pairwise_gap,
-        }
+        return {key: getattr(self, key) for key in
+                ("value", "kl_form", "potential_form", "dual_form", "max_pairwise_gap")}
 
 
 def dual_variables(sol: SchroedingerSolution, p1: Density):
@@ -111,15 +106,9 @@ def report_from_solution(sol: SchroedingerSolution, p1: Density) -> ControlValue
     dual_form = float(f[mu2w > 0] @ mu2w[mu2w > 0]) - float(phi0 @ mu1w)
     forms = (kl, potential_form, dual_form)
     gap = max(abs(x - y) for x in forms for y in forms)
-    return ControlValueReport(
-        value=kl,
-        kl_form=kl,
-        potential_form=potential_form,
-        dual_form=dual_form,
-        max_pairwise_gap=gap,
-        converged=sol.converged,
-        solution=sol,
-    )
+    return ControlValueReport(value=kl, kl_form=kl, potential_form=potential_form,
+                              dual_form=dual_form, max_pairwise_gap=gap,
+                              converged=sol.converged, solution=sol)
 
 
 def second_moment(p: Density) -> float:

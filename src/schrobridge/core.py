@@ -27,10 +27,6 @@ W2_CLOUD_CAP = 200
 #: total-variation stop test needs marginals that agree to this level.
 UNIT_MASS_TOL = 1e-12
 
-#: Version tag of the fixed bounded-Lipschitz test-function dictionary.
-#: Golden values recorded in tests are only valid for this version.
-BL_DICTIONARY_VERSION = 1
-
 _BL_LEVELS = 4            # Gaussian bump scales R, R/2, R/4, R/8
 _BL_MAX_CENTERS = 5000    # per-level cap on bump centers (high-dim guard)
 _BL_AFFINE_STEPS = 16     # offsets -R .. R in steps of R/8
@@ -271,11 +267,7 @@ def pairwise_sq_dists(x, y):
     """Squared Euclidean distances between rows of x (n,d) and y (m,d)."""
     x = np.atleast_2d(np.asarray(x, dtype=float))
     y = np.atleast_2d(np.asarray(y, dtype=float))
-    d2 = (
-        np.sum(x * x, axis=1)[:, None]
-        + np.sum(y * y, axis=1)[None, :]
-        - 2.0 * (x @ y.T)
-    )
+    d2 = np.sum(x * x, axis=1)[:, None] + np.sum(y * y, axis=1)[None, :] - 2.0 * (x @ y.T)
     return np.maximum(d2, 0.0)
 
 

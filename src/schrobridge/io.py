@@ -392,11 +392,10 @@ def sha256_of(path) -> str:
 
 
 def write_manifest(path, command, version, input_paths, parameters, wall_time_s):
-    payload = {
+    write_json(path, {
         "command": command,
         "tool_version": version,
         "inputs": {str(p): sha256_of(p) for p in input_paths},
         "parameters": parameters,
         "wall_time_s": wall_time_s,
-    }
-    write_json(path, payload)
+    })

@@ -26,6 +26,7 @@ from .core import (
     empirical_measure,
     lattice_neighbors,
     logsumexp,
+    same_support,
     w2_distance,
 )
 from .control import objective_from_solution
@@ -35,6 +36,8 @@ DEFAULT_DAMPING = 0.5
 DEFAULT_EPS_SCHEDULE = tuple(2.0 ** (-k) for k in range(8))
 ANDERSON_MEMORY = 5
 OUTER_TOL, OUTER_MAX_STEPS = 1e-9, 200
+# Inner tolerance per unit of outer residual, once that is <= FORCING_FROM (Eisenstat & Walker).
+FORCING, FORCING_FROM = 1e-3, 1e-2
 
 
 @dataclass(frozen=True)
@@ -50,6 +53,7 @@ class FixedPointTrace:
     converged: bool
     residual: float
     final_solution: SchroedingerSolution
+    inner_sweeps: int  # of all the level's inner solves
 
     @property
     def final(self) -> Density:
@@ -129,14 +133,13 @@ def uniform_density(support: Support) -> Density:
 
 
 def _step(p: Density, target: DiscreteMeasure, kernel: GaussianHeatKernel,
-          init_log_nu2=None):
-    """One application of the fixed-point map, returning (log image, solve).
+          init_log_nu2=None, tol=INNER_TOL):
+    """One application of the fixed-point map, inner solve to ``tol``: (log image, solve).
 
     The log image is normalized on ``p``'s support; its exp is the image density.
     """
-    sol = solve_schrodinger(kernel, p.to_measure(), target,
-                            tol=INNER_TOL, max_iters=INNER_MAX_ITERS,
-                            init_log_nu2=init_log_nu2)
+    sol = solve_schrodinger(kernel, p.to_measure(), target, tol=tol,
+                            max_iters=INNER_MAX_ITERS, init_log_nu2=init_log_nu2)
     if not sol.converged:
         raise NonConvergenceError(
             f"inner Schrodinger solve stalled at residual {sol.final_residual:.3e}")
@@ -158,10 +161,13 @@ def solve_fixed_point(p1: Density, eps, r, tol=OUTER_TOL, max_outer=OUTER_MAX_ST
     converges locally without one (Toth & Kelley, SIAM J. Numer. Anal.
     2015). Every update is renormalized. Convergence is declared when the
     undamped map moves the iterate by at most ``tol`` in sup norm, and the
-    returned final iterate is that undamped image. A zero-valued ``init``
-    is rejected: the damped first step never leaves log 0. The target is
-    recentered to barycenter zero unless already centered. The objective is
-    evaluated once, at the iterate of the last solve.
+    returned final iterate is that undamped image. An inner solve after a
+    residual r <= FORCING_FROM runs at max(INNER_TOL, FORCING * r), any other
+    at INNER_TOL; an image that passes after a looser solve is redone at
+    INNER_TOL and retested. ``init`` must be nowhere zero (the damped first
+    step never leaves log 0) and live on the target's support points in B_r;
+    the target is recentered to barycenter zero unless already centered.
+    The objective is evaluated once, at the iterate of the last solve.
     """
     if max_outer < 1 or not tol > 0:
         raise ValueError("need max_outer >= 1 and tol > 0")
@@ -170,24 +176,28 @@ def solve_fixed_point(p1: Density, eps, r, tol=OUTER_TOL, max_outer=OUTER_MAX_ST
     if init is None:
         p = uniform_density(support)
     else:
-        if init.support.radii().max() > r * (1 + 1e-9):
-            raise ValueError("initial density must be supported in B_r")
+        if not same_support(init.support, support):
+            raise ValueError("init must be a density on the target's support points in B_r")
         if np.any(init.values == 0):
             raise ValueError("zero-valued initialization cannot escape log-space "
                              "damping; floor it")
         p = init
     iterates = [p]
-    converged = False
-    warm = None
+    converged, warm, inner_tol, sweeps = False, None, INNER_TOL, 0
     dg, df = [], []
     x = np.log(p.values)
     target = p1.to_measure()
     kernel = GaussianHeatKernel(source=support, target=p1.support, t=1.0, eps=eps)
     for k in range(max_outer):
-        g, sol = _step(p, target, kernel, warm)
-        warm = sol.log_nu2
-        image = np.exp(g)
-        residual = float(np.abs(image - p.values).max())
+        while True:
+            g, sol = _step(p, target, kernel, warm, inner_tol)
+            warm, sweeps = sol.log_nu2, sweeps + sol.iterations
+            image = np.exp(g)
+            residual = float(np.abs(image - p.values).max())
+            if residual > tol or inner_tol == INNER_TOL:
+                break
+            inner_tol = INNER_TOL
+        inner_tol = max(INNER_TOL, FORCING * residual) if residual <= FORCING_FROM else INNER_TOL
         if residual <= tol:
             iterates.append(Density(support, image, is_probability=True))
             converged = True
@@ -209,7 +219,7 @@ def solve_fixed_point(p1: Density, eps, r, tol=OUTER_TOL, max_outer=OUTER_MAX_ST
     return FixedPointTrace(
         eps=float(eps), iterates=tuple(iterates),
         objective=objective_from_solution(sol, iterates[-2], p1),
-        converged=converged, residual=residual, final_solution=sol)
+        converged=converged, residual=residual, final_solution=sol, inner_sweeps=sweeps)
 
 
 def verify_moment_measure(u_bar, support: Support, p1: Density):
@@ -244,19 +254,25 @@ def verify_moment_measure(u_bar, support: Support, p1: Density):
     return pushforward_error, gap
 
 
+def _extrapolated(levels, eps):
+    """log p at ``eps``, linear in eps through the two levels ``(eps, log p)`` given."""
+    (e0, x0), (e1, x1) = levels
+    return x1 + (eps - e1) / (e1 - e0) * (x1 - x0)
+
+
 def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
                             tol=OUTER_TOL, max_outer=OUTER_MAX_STEPS) -> MomentMeasureResult:
     """Drive the fixed point along a decreasing noise schedule.
 
-    The target is recentered once (shift reported); each level warm-starts
-    from the previous converged density. The returned potential is
-    u = -log p0 gauged to min zero. Per-level diagnostics record residual,
-    objective, the bounded-Lipschitz drift between consecutive densities,
-    the per-level convexity, pushforward and W2-check numbers, and the
-    outer-step count; the last row holds the returned
-    potential's. Only one level's trace is alive at a time. A non-converged
-    level aborts; the error's ``partial`` attribute holds the
-    ``diagnostics`` rows of the levels completed before it.
+    The target is recentered once (shift reported); level 2 starts from level
+    1's density, each later one from log p extrapolated linearly in eps from
+    the last two levels (the secant predictor, renormalized). The returned
+    potential is u = -log p0 gauged to min zero. Per-level diagnostics record
+    residual, objective, the bounded-Lipschitz drift between consecutive
+    densities, the per-level convexity, pushforward and W2-check numbers, the
+    outer steps and inner sweeps; the last row holds the returned potential's.
+    Only one level's trace is alive at a time. A non-converged level aborts;
+    the error's ``partial`` holds the completed levels' ``diagnostics`` rows.
     """
     eps_schedule = tuple(float(e) for e in eps_schedule)
     if len(eps_schedule) == 0 or not all(0 < e < math.inf for e in eps_schedule):
@@ -264,12 +280,16 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
     if any(b >= a for a, b in zip(eps_schedule, eps_schedule[1:])):
         raise ValueError("schedule must be strictly decreasing")
     p1c, shift = recentered(p1)
-    rows = []
-    prev = None
+    rows, levels = [], []  # levels: (eps, log p) of the last two levels
+    init = prev = None
     for eps in eps_schedule:
+        if len(levels) == 2:
+            x = _extrapolated(levels, eps)
+            x -= logsumexp(x + np.log(prev.support.cell_volumes))
+            init = Density(prev.support, np.exp(x), is_probability=True)
         try:
             trace = solve_fixed_point(p1c, eps, r, tol=tol, max_outer=max_outer,
-                                      init=prev)
+                                      init=init)
             if not trace.converged:
                 raise NonConvergenceError(
                     f"fixed point did not converge at eps={eps:g} "
@@ -278,11 +298,10 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
             exc.partial = {"diagnostics": tuple(rows)}
             raise
         p_eps = trace.final
-        u_eps = -np.log(p_eps.values)
-        u_eps = u_eps - u_eps.min()
+        log_p = np.log(p_eps.values)
+        u_eps = log_p.max() - log_p
         push_err, w2_check = verify_moment_measure(u_eps, p_eps.support, p1c)
-        drift_bl = (bl_distance(p_eps.to_measure(), prev.to_measure())
-                    if prev is not None else math.nan)
+        drift_bl = math.nan if prev is None else bl_distance(p_eps.to_measure(), prev.to_measure())
         rows.append({
             "eps": eps,
             "residual": trace.residual,
@@ -292,8 +311,10 @@ def zero_noise_continuation(p1: Density, r, eps_schedule=DEFAULT_EPS_SCHEDULE,
             "pushforward_error": push_err,
             "w2_check": w2_check,
             "outer_steps": len(trace.iterates) - 1,
+            "inner_sweeps": trace.inner_sweeps,
         })
         del trace  # its solves and kernel must not outlive the level
-        prev = p_eps
+        init = prev = p_eps
+        levels = [*levels, (eps, log_p)][-2:]
     return MomentMeasureResult(p0=prev, u_bar=u_eps, eps_schedule=eps_schedule,
                                recenter_shift=shift, diagnostics=tuple(rows))

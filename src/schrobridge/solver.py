@@ -26,11 +26,9 @@ from .core import (
     log_eval_kernel,
     logsumexp,
     same_support,
-    tv_distance,
 )
 
-DEFAULT_TOL = 1e-10
-DEFAULT_MAX_ITERS = 5000
+DEFAULT_TOL, DEFAULT_MAX_ITERS = 1e-10, 5000
 # The tight budget of the solves inside control values, moment fixed points and ladders.
 INNER_TOL, INNER_MAX_ITERS = 1e-12, 20000
 # A scaling outside this range is absorbed into the log potentials.
@@ -161,15 +159,12 @@ def solve_schrodinger(q: KernelSpec, mu1: DiscreteMeasure, mu2: DiscreteMeasure,
     # zero-mass columns are cleared)
     pot = [_refit(logk, b, ws[0], 1, kt), np.where(pos[1], b, -np.inf)]
     kt[:, ~pos[1]] = 0.0
-    s = [np.ones(len(ws[0])), np.ones(len(ws[1]))]
+    # per marginal: scaling, matvec sums, relaxed fit (1 at the zero-mass points where= skips)
+    s, sums, fit = ([np.ones(len(w)) for w in ws] for _ in range(3))
+    where = [True if p.all() else p for p in pos]
 
-    def half(k, c, omega):
-        """Refit scaling k (0: to mu1, 1: to mu2) from the sums c; the sums kept after."""
-        fit = np.divide(ws[k], c, out=s[k] if omega == 1.0 else np.ones_like(c), where=pos[k])
-        if omega != 1.0:
-            s[k] *= (fit / s[k]) ** omega
-        if SCALING_BOUNDS[0] <= s[k].min() and s[k].max() <= SCALING_BOUNDS[1]:
-            return c
+    def absorb(k):
+        """Fold both scalings into the potentials; redo half-sweep k in the log domain."""
         pot[1 - k] += np.log(s[1 - k])
         pot[k] = _refit(logk, pot[1 - k], ws[k], 1 - k, kt)
         s[0][:] = s[1][:] = 1.0
@@ -180,28 +175,37 @@ def solve_schrodinger(q: KernelSpec, mu1: DiscreteMeasure, mu2: DiscreteMeasure,
     # half-sweep; the NaN potentials of zero-mass points are replaced below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         for iterations in range(1, max_iters + 1):
-            exact = omega == 1.0 or iterations == max_iters
-            c2 = half(1, kt.T @ s[0], 1.0 if exact else omega)
-            c1 = kt @ s[1]
-            gap = residual = tv_distance(s[0] * c1, ws[0])
-            if not exact:
-                gap = max(residual, tv_distance(s[1] * c2, ws[1]))
-                if gap <= tol:
-                    c2 = half(1, c2, 1.0)
-                    c1 = kt @ s[1]
-                    residual = tv_distance(s[0] * c1, ws[0])
-                    exact = True
-            if exact and residual <= tol or iterations == max_iters:
+            om = 1.0 if omega == 1.0 or iterations == max_iters else omega
+            c2, gap = np.dot(kt.T, s[0], out=sums[1]), None
+            while True:  # the column half-sweep; a relaxed one that meets tol is redone exactly
+                np.divide(ws[1], c2, out=s[1] if om == 1.0 else fit[1], where=where[1])
+                if om != 1.0:  # s <- s^(1 - omega) (w / c)^omega
+                    s[1] *= np.power(np.divide(fit[1], s[1], out=fit[1]), om, out=fit[1])
+                if not (SCALING_BOUNDS[0] <= s[1].min() and s[1].max() <= SCALING_BOUNDS[1]):
+                    c2 = absorb(1)
+                c1 = np.dot(kt, s[1], out=sums[0])
+                residual = 0.5 * float(np.abs(s[0] * c1 - ws[0]).sum())
+                if om == 1.0:
+                    break
+                gap = max(residual, 0.5 * float(np.abs(s[1] * c2 - ws[1]).sum()))
+                if gap > tol:
+                    break
+                om = 1.0
+            if om == 1.0 and residual <= tol or iterations == max_iters:
                 break
-            half(0, c1, omega)
-            gaps.append(gap)
+            np.divide(ws[0], c1, out=s[0] if omega == 1.0 else fit[0], where=where[0])
+            if omega != 1.0:
+                s[0] *= np.power(np.divide(fit[0], s[0], out=fit[0]), omega, out=fit[0])
+            if not (SCALING_BOUNDS[0] <= s[0].min() and s[0].max() <= SCALING_BOUNDS[1]):
+                absorb(0)
+            gaps.append(residual if gap is None else gap)
             if start is None and len(gaps) > 2 * FIT_SWEEPS and len(gaps) % FIT_SWEEPS == 1:
                 la, lb = ((gaps[-1 - i * FIT_SWEEPS] / gaps[-1 - (i + 1) * FIT_SWEEPS])
                           ** (1.0 / FIT_SWEEPS) for i in (0, 1))
                 if la < LAM_MAX and 0.5 * (1.0 - lb) <= 1.0 - la <= 2.0 * (1.0 - lb):
                     omega, start = 2.0 / (1.0 + math.sqrt(1.0 - la)), len(gaps)
             elif omega != 1.0 and len(gaps) > start + WINDOW:
-                if gap >= gaps[start]:
+                if gaps[-1] >= gaps[start]:
                     omega = 1.0
                 start += WINDOW
 

@@ -124,9 +124,8 @@ class ConvergenceReport:
         return (first, last, ratio)
 
     def summary(self):
-        metrics = ("plan_bl", "product_gap", "potential_gap", "supnorm_gap")
         out = {}
-        for metric in metrics:
+        for metric in ("plan_bl", "product_gap", "potential_gap", "supnorm_gap"):
             first, last, ratio = self.trend(metric)
             out[metric] = {"first": first, "last": last, "ratio": ratio,
                            "decreasing": bool(last <= first + 1e-15)}
@@ -207,8 +206,7 @@ def run_convergence(base, family, probes, m, tol=INNER_TOL, r_prime=None) -> Con
             if not sol.converged:
                 raise NonConvergenceError("member solve did not converge")
         except (NonConvergenceError, ValueError):
-            rows.append(ConvergenceRow(n, math.nan, math.nan, math.nan,
-                                       math.nan, False))
+            rows.append(ConvergenceRow(n, math.nan, math.nan, math.nan, math.nan, False))
             continue
         plan_gap = product_bl_distance(source, target, plan_matrix(sol), base_plan)
         product_gap = product_bl_distance(

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 import schrobridge.cli
 import schrobridge.data
 import schrobridge.io
+import schrobridge.moment
 from schrobridge import (
     Density,
     DiscreteMeasure,
@@ -462,9 +463,13 @@ class TestCliMoment:
         diag = np.loadtxt(out / "moment_diagnostics.csv", delimiter=",", skiprows=1)
         assert diag.shape[0] == 2
 
-    def test_exit_2_writes_completed_levels(self, tmp_path):
+    def test_exit_2_writes_completed_levels(self, tmp_path, monkeypatch):
         # One outer step per level: eps = 8 meets tol = 0.07 in one step,
         # eps = 0.1 does not.
+        solves = []
+        solve = schrobridge.moment.solve_schrodinger
+        monkeypatch.setattr(schrobridge.moment, "solve_schrodinger",
+                            lambda *args, **kw: solves.append(solve(*args, **kw)) or solves[-1])
         cfg = tmp_path / "c.cfg"
         with open(cfg, "w") as fh:
             fh.write("p1 = gaussian:0,1\nr = 4.0\nschedule = 8,0.1\n"
@@ -478,8 +483,10 @@ class TestCliMoment:
         assert diag.shape[0] == 1
         assert diag[0, 0] == 8.0
         with open(out / "moment_diagnostics.csv") as fh:
-            assert fh.readline().strip().endswith(",outer_steps")
-        assert diag[0, -1] == 1.0
+            assert fh.readline().strip().endswith(",outer_steps,inner_sweeps")
+        # the completed level's one outer step, and the sweeps of its one solve
+        assert diag[0, -2] == 1.0
+        assert diag[0, -1] == solves[0].iterations
 
 
     @pytest.mark.parametrize("config, status, levels", [

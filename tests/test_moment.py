@@ -22,7 +22,7 @@ from schrobridge import (
 )
 import schrobridge.moment
 from schrobridge.control import objective_from_solution
-from schrobridge.core import log_heat
+from schrobridge.core import log_heat, same_support
 from schrobridge.moment import (
     DEFAULT_DAMPING,
     DEFAULT_EPS_SCHEDULE,
@@ -32,6 +32,7 @@ from schrobridge.moment import (
     recentered,
     uniform_density,
 )
+from schrobridge.solver import INNER_TOL
 from conftest import fixed_point_step, free_energy_upper_bound, gaussian_density
 
 
@@ -208,6 +209,17 @@ class TestSolveFixedPoint:
         defect = check_convexity(profile, grid_r4)
         assert defect <= 1e-8 * (1.0 + profile.max() - profile.min())
 
+    @pytest.mark.parametrize("p1_grid, r, init_grid", [
+        # inside B_4, but not on the target's points
+        (make_grid(1, 4.0, 41), 4.0, make_grid(1, 2.0, 11)),
+        # the target's own points, one of which lies 1e-10 outside B_r
+        (make_grid(1, 4.0, 40), 3.9 / (1 + 1e-10), make_grid(1, 4.0, 40)),
+    ], ids=["other_points", "edge_outside_ball"])
+    def test_init_off_the_ball_support_rejected_up_front(self, p1_grid, r, init_grid):
+        with pytest.raises(ValueError, match="^init must"):
+            solve_fixed_point(gaussian_density(p1_grid, 1.0), 0.5, r,
+                              init=uniform_density(init_grid))
+
     def test_zero_init_with_damping_rejected(self, grid_r4, std_normal):
         vals = np.zeros(grid_r4.n_points)
         vals[:3] = 1.0
@@ -259,6 +271,78 @@ class TestZeroNoise:
         res = zero_noise_continuation(std_normal, 4.0, eps_schedule=[0.5], tol=1e-9)
         trace = solve_fixed_point(std_normal, 0.5, 4.0, tol=1e-9)
         assert np.abs(res.p0.values - trace.final.values).max() <= 1e-14
+
+    def test_schedule_of_length_two_chains_two_single_solves(self, std_normal):
+        res = zero_noise_continuation(std_normal, 4.0, eps_schedule=[0.5, 0.25], tol=1e-9)
+        first = solve_fixed_point(std_normal, 0.5, 4.0, tol=1e-9)
+        second = solve_fixed_point(std_normal, 0.25, 4.0, tol=1e-9, init=first.final)
+        assert np.array_equal(res.p0.values, second.final.values)
+
+    def test_later_levels_start_from_the_secant_predictor(self, std_normal, monkeypatch):
+        inits, finals = [], []
+        solve = schrobridge.moment.solve_fixed_point
+
+        def spy(*args, **kwargs):
+            inits.append(kwargs["init"])
+            trace = solve(*args, **kwargs)
+            finals.append(trace.final)
+            return trace
+
+        monkeypatch.setattr(schrobridge.moment, "solve_fixed_point", spy)
+        schedule = [1.0, 0.5, 0.25, 0.125]
+        zero_noise_continuation(std_normal, 4.0, eps_schedule=schedule, tol=1e-9)
+        assert inits[0] is None and inits[1] is finals[0]
+        for k in (2, 3):
+            init, support = inits[k], finals[k - 1].support
+            # a probability density on the ball's support, nowhere zero
+            assert init.is_probability and same_support(init.support, support)
+            assert np.all(init.values > 0)
+            assert float(init.values @ support.cell_volumes) == pytest.approx(1.0, abs=1e-12)
+            # log p extrapolated linearly in eps from the two levels before
+            x0, x1 = np.log(finals[k - 2].values), np.log(finals[k - 1].values)
+            e0, e1 = schedule[k - 2:k]
+            x = x1 + (schedule[k] - e1) / (e1 - e0) * (x1 - x0)
+            x -= logsumexp(x + np.log(support.cell_volumes))
+            assert np.allclose(init.values, np.exp(x), rtol=1e-12, atol=0.0)
+
+    def test_every_level_rests_on_an_inner_tol_solve(self, std_normal, monkeypatch):
+        # the inner solves loosen once the outer residual is small; the solve
+        # behind each returned level is redone at INNER_TOL
+        solves, traces = [], []
+        solve, fixed_point = (schrobridge.moment.solve_schrodinger,
+                              schrobridge.moment.solve_fixed_point)
+
+        def solve_spy(*args, **kwargs):
+            solves.append((solve(*args, **kwargs), kwargs["tol"]))
+            return solves[-1][0]
+
+        def fixed_point_spy(*args, **kwargs):
+            traces.append(fixed_point(*args, **kwargs))
+            return traces[-1]
+
+        monkeypatch.setattr(schrobridge.moment, "solve_schrodinger", solve_spy)
+        monkeypatch.setattr(schrobridge.moment, "solve_fixed_point", fixed_point_spy)
+        zero_noise_continuation(std_normal, 4.0, eps_schedule=[1.0, 0.5, 0.25], tol=1e-9)
+        assert max(tol for _, tol in solves) > INNER_TOL
+        for trace in traces:
+            sol = trace.final_solution
+            assert [tol for s, tol in solves if s is sol] == [INNER_TOL]
+            assert sol.converged and sol.final_residual <= INNER_TOL
+
+    def test_forcing_cuts_the_inner_sweeps_of_acceptance_08(self, monkeypatch):
+        # the acceptance-08 centred instance: with every inner solve at
+        # INNER_TOL (no forcing, no predictor) its levels took 2506 sweeps
+        all_inner_tol = 2506
+        solves = []
+        solve = schrobridge.moment.solve_schrodinger
+        monkeypatch.setattr(schrobridge.moment, "solve_schrodinger", lambda *args, **kwargs:
+                            solves.append(solve(*args, **kwargs)) or solves[-1])
+        g = make_grid(1, 4.0, 201)
+        res = zero_noise_continuation(gaussian_density(g, 1.0), 4.0, tol=1e-9)
+        level_sums = [row["inner_sweeps"] for row in res.diagnostics]
+        # each row counts all of its level's solves, the INNER_TOL redo included
+        assert sum(level_sums) == sum(sol.iterations for sol in solves)
+        assert sum(level_sums) <= 0.7 * all_inner_tol
 
     def test_recentering_contract(self, grid_r4):
         centered = gaussian_density(grid_r4, 0.8)
